@@ -99,21 +99,6 @@ fn bench_reorganize(c: &mut Criterion) {
                 criterion::BatchSize::LargeInput,
             );
         });
-        group.bench_with_input(
-            BenchmarkId::new(format!("{}_parallel", preset.name()), batch_size),
-            &w,
-            |b, w| {
-                b.iter_batched(
-                    || {
-                        let mut g = DynamicGraph::from_csr(&w.initial);
-                        g.apply_batch(&w.batches[0]);
-                        g
-                    },
-                    |mut g| g.reorganize_parallel(),
-                    criterion::BatchSize::LargeInput,
-                );
-            },
-        );
     }
     group.finish();
 }

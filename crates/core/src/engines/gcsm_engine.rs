@@ -12,12 +12,12 @@
 //! FE and host-side packing are CPU work, charged at CPU compute/bandwidth
 //! cost; everything else comes out of the recorded traffic.
 
-use super::{Engine, Measurer};
+use super::{ship_cache, Engine, Measurer};
 use crate::config::EngineConfig;
 use crate::kernel::run_gpu_kernel_with_plans;
 use crate::result::{BatchResult, PhaseBreakdown};
 use crate::sources::CachedSource;
-use gcsm_cache::{Dcsr, DeltaPlan, DeltaPlanner};
+use gcsm_cache::{DeltaPlan, DeltaPlanner};
 use gcsm_freq::{
     estimate_merged, recommended_walks, select_top_frequency, FreqEstimate, WalkParams,
 };
@@ -195,35 +195,17 @@ impl Engine for GcsmEngine {
         // ---- Step 3: select, pack, DMA (host + link) ----
         let budget = self.cfg.gpu.cache_budget();
         let selection = select_top_frequency(&est, budget, |v| graph.list_bytes(v));
-        let (dcsr, shipped_bytes) = if self.cfg.delta_cache {
-            // Extension: the cache is a persistent device resident — diff
-            // against it and ship only new or changed rows (plus the
-            // always-refreshed index arrays), evicting under the device
-            // budget. The updated set is the seal-time snapshot derived
-            // from the batch itself, never the live graph (which an
-            // overlapped reorganize may already have cleaned).
-            let mut span = gcsm_obs::span("cache_delta", gcsm_obs::cat::ENGINE);
-            let updated = gcsm_cache::updated_set(batch);
-            let (dcsr, plan) =
-                self.planner.update_bounded(graph, &selection.vertices, &updated, budget);
-            let meta = dcsr.bytes() - dcsr.colidx.len() * std::mem::size_of::<u32>();
-            let shipped = plan.transfer_bytes(graph) + meta;
-            // What a full repack of the (pre-eviction) selection would ship.
-            let n = selection.vertices.len();
-            let full = selection.vertices.iter().map(|&v| graph.list_bytes(v)).sum::<usize>()
-                + n * Dcsr::ROW_META_BYTES
-                + std::mem::size_of::<(i64, i64)>();
-            span.set_count(plan.keep.len() as u64);
-            self.device.dma_delta(shipped, full.saturating_sub(shipped));
-            self.last_plan = Some(plan);
-            drop(span);
-            (dcsr, shipped)
-        } else {
-            let dcsr = Dcsr::pack(graph, &selection.vertices);
-            let bytes = dcsr.bytes();
-            self.device.dma(bytes);
-            (dcsr, bytes)
-        };
+        let (dcsr, shipped_bytes, plan) = ship_cache(
+            &self.device,
+            &mut self.planner,
+            &self.cfg,
+            graph,
+            batch,
+            &selection.vertices,
+        );
+        if plan.is_some() {
+            self.last_plan = plan;
+        }
         let cached_bytes = dcsr.bytes();
         // Host-side packing streams the shipped lists once.
         phases.data_copy = m.lap() + shipped_bytes as f64 / self.cfg.gpu.cpu_mem_bandwidth;

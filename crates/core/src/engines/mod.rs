@@ -34,8 +34,9 @@ pub use zerocopy::ZeroCopyEngine;
 
 use crate::config::EngineConfig;
 use crate::result::BatchResult;
+use gcsm_cache::{Dcsr, DeltaPlan, DeltaPlanner};
 use gcsm_gpusim::Device;
-use gcsm_graph::{DynamicGraph, EdgeUpdate};
+use gcsm_graph::{DynamicGraph, EdgeUpdate, VertexId};
 use gcsm_pattern::QueryGraph;
 
 /// A continuous-subgraph-matching system under evaluation.
@@ -113,4 +114,42 @@ impl<'a> Measurer<'a> {
             stream: None,
         }
     }
+}
+
+/// Step 3's transfer for the cached engines: ship `selection`'s lists to
+/// the device cache and return it with the bytes shipped.
+///
+/// With `cfg.delta_cache` the cache is a persistent device resident — diff
+/// against it and ship only new or changed rows (plus the always-refreshed
+/// index arrays), evicting under the device budget; the transfer plan is
+/// returned too. The updated set is the seal-time snapshot derived from the
+/// batch itself, never the live graph (which an overlapped reorganize may
+/// already have cleaned). Otherwise the whole selection is packed and sent
+/// in one DMA.
+pub(crate) fn ship_cache(
+    device: &Device,
+    planner: &mut DeltaPlanner,
+    cfg: &EngineConfig,
+    graph: &DynamicGraph,
+    batch: &[EdgeUpdate],
+    selection: &[VertexId],
+) -> (Dcsr, usize, Option<DeltaPlan>) {
+    if !cfg.delta_cache {
+        let dcsr = Dcsr::pack(graph, selection);
+        let bytes = dcsr.bytes();
+        device.dma(bytes);
+        return (dcsr, bytes, None);
+    }
+    let mut span = gcsm_obs::span("cache_delta", gcsm_obs::cat::ENGINE);
+    let updated = gcsm_cache::updated_set(batch);
+    let (dcsr, plan) = planner.update_bounded(graph, selection, &updated, cfg.gpu.cache_budget());
+    let meta = dcsr.bytes() - dcsr.colidx.len() * std::mem::size_of::<u32>();
+    let shipped = plan.transfer_bytes(graph) + meta;
+    // What a full repack of the (pre-eviction) selection would ship.
+    let full = selection.iter().map(|&v| graph.list_bytes(v)).sum::<usize>()
+        + selection.len() * Dcsr::ROW_META_BYTES
+        + std::mem::size_of::<(i64, i64)>();
+    span.set_count(plan.keep.len() as u64);
+    device.dma_delta(shipped, full.saturating_sub(shipped));
+    (dcsr, shipped, Some(plan))
 }

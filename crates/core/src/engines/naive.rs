@@ -6,12 +6,12 @@
 //! degree does not mean the batch will touch the vertex, and hub lists are
 //! huge, so a byte budget buys very few of them.
 
-use super::{Engine, Measurer};
+use super::{ship_cache, Engine, Measurer};
 use crate::config::EngineConfig;
 use crate::kernel::run_gpu_kernel;
 use crate::result::{BatchResult, PhaseBreakdown};
 use crate::sources::CachedSource;
-use gcsm_cache::{Dcsr, DeltaPlanner};
+use gcsm_cache::DeltaPlanner;
 use gcsm_freq::select_by_degree;
 use gcsm_gpusim::Device;
 use gcsm_graph::{DynamicGraph, EdgeUpdate, VertexId};
@@ -70,29 +70,14 @@ impl Engine for NaiveDegreeEngine {
             .collect();
         let budget = self.cfg.gpu.cache_budget();
         let selection = select_by_degree(candidates, budget, |v| graph.list_bytes(v));
-        let (dcsr, shipped_bytes) = if self.cfg.delta_cache {
-            // Same persistent-resident extension as GcsmEngine: ship only
-            // rows the resident cache is missing or that this batch
-            // changed, using the seal-time updated snapshot.
-            let mut span = gcsm_obs::span("cache_delta", gcsm_obs::cat::ENGINE);
-            let updated = gcsm_cache::updated_set(batch);
-            let (dcsr, plan) =
-                self.planner.update_bounded(graph, &selection.vertices, &updated, budget);
-            let meta = dcsr.bytes() - dcsr.colidx.len() * std::mem::size_of::<u32>();
-            let shipped = plan.transfer_bytes(graph) + meta;
-            let n = selection.vertices.len();
-            let full = selection.vertices.iter().map(|&v| graph.list_bytes(v)).sum::<usize>()
-                + n * Dcsr::ROW_META_BYTES
-                + std::mem::size_of::<(i64, i64)>();
-            span.set_count(plan.keep.len() as u64);
-            self.device.dma_delta(shipped, full.saturating_sub(shipped));
-            (dcsr, shipped)
-        } else {
-            let dcsr = Dcsr::pack(graph, &selection.vertices);
-            let bytes = dcsr.bytes();
-            self.device.dma(bytes);
-            (dcsr, bytes)
-        };
+        let (dcsr, shipped_bytes, _) = ship_cache(
+            &self.device,
+            &mut self.planner,
+            &self.cfg,
+            graph,
+            batch,
+            &selection.vertices,
+        );
         let cached_bytes = dcsr.bytes();
         phases.data_copy = m.lap() + shipped_bytes as f64 / self.cfg.gpu.cpu_mem_bandwidth;
         drop(dc_span);

@@ -46,6 +46,7 @@ pub mod config;
 pub mod engines;
 pub mod kernel;
 pub mod khop;
+mod lifecycle;
 pub mod multi;
 pub mod pipeline;
 pub mod result;

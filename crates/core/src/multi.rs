@@ -7,7 +7,7 @@
 //! of Fig. 3 across all registered queries and invokes each query's engine
 //! on the same sealed batch.
 //!
-//! The pipeline-level mechanisms of [`crate::Pipeline`] apply here too:
+//! The shared steps run in the same batch core as [`crate::Pipeline`], so
 //! [`MultiPipeline::set_overlap`] detaches the shared Step-5 reorganisation
 //! onto a worker thread while the next batch is ingested (charging only the
 //! exposed remainder), and each engine's own `EngineConfig` — including
@@ -15,8 +15,9 @@
 //! invocation is traced as a `query` span (`level` = registration index).
 
 use crate::engines::Engine;
+use crate::lifecycle::BatchCore;
 use crate::result::BatchResult;
-use gcsm_graph::{CsrGraph, DynamicGraph, EdgeUpdate, ReorgResult};
+use gcsm_graph::{CsrGraph, DynamicGraph, EdgeUpdate};
 use gcsm_pattern::QueryGraph;
 
 /// A registered query with its engine.
@@ -25,23 +26,10 @@ struct Registered {
     engine: Box<dyn Engine>,
 }
 
-/// An in-flight overlapped reorganization of the previous batch.
-struct PendingReorg {
-    handle: std::thread::JoinHandle<ReorgResult>,
-    /// Modeled CPU seconds of the detached merge work; charged as the
-    /// exposed remainder once the next batch's ingest window is known.
-    sim_seconds: f64,
-}
-
 /// Pipeline over one dynamic graph and many (query, engine) pairs.
 pub struct MultiPipeline {
-    graph: DynamicGraph,
+    core: BatchCore,
     queries: Vec<Registered>,
-    /// Batches processed so far; labels the `batch` spans in traces.
-    batches: u64,
-    /// Double-buffered mode: reorganize batch *k* while ingesting *k+1*.
-    overlap: bool,
-    pending: Option<PendingReorg>,
 }
 
 /// Per-query outcome of one batch.
@@ -66,39 +54,26 @@ impl MultiBatchResult {
 impl MultiPipeline {
     /// Pipeline over an initial snapshot.
     pub fn new(initial: CsrGraph) -> Self {
-        Self {
-            graph: DynamicGraph::from_csr(&initial),
-            queries: Vec::new(),
-            batches: 0,
-            overlap: false,
-            pending: None,
-        }
+        Self { core: BatchCore::new(&initial), queries: Vec::new() }
     }
 
     /// Enable/disable overlapped reorganization for subsequent batches. An
     /// already in-flight reorganization (if any) still joins normally on
     /// the next batch or [`Self::flush`].
     pub fn set_overlap(&mut self, on: bool) {
-        self.overlap = on;
+        self.core.set_overlap(on);
     }
 
     /// Whether overlapped reorganization is enabled.
     pub fn overlap(&self) -> bool {
-        self.overlap
+        self.core.overlap()
     }
 
     /// Join and install an in-flight overlapped reorganization, if any.
     /// Returns the modeled CPU seconds of the joined work that no later
     /// batch will hide (0.0 when nothing was pending).
     pub fn flush(&mut self) -> f64 {
-        match self.pending.take() {
-            Some(p) => {
-                let res = p.handle.join().expect("reorganize worker panicked");
-                self.graph.install_reorg(res);
-                p.sim_seconds
-            }
-            None => 0.0,
-        }
+        self.core.flush()
     }
 
     /// Register a query with its own engine. Returns `self` for chaining.
@@ -114,85 +89,31 @@ impl MultiPipeline {
 
     /// The current graph.
     pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
+        self.core.graph()
     }
 
     /// Process one batch for every registered query: one update, one
-    /// reorganisation, `k` matching invocations.
+    /// reorganisation, `k` matching invocations. The shared host phases
+    /// and host wall are charged to the first query's result.
     pub fn process_batch(&mut self, updates: &[EdgeUpdate]) -> MultiBatchResult {
-        let mut batch_span = gcsm_obs::span("batch", gcsm_obs::cat::PIPELINE);
-        batch_span.set_batch(self.batches);
-        batch_span.set_count(updates.len() as u64);
-        self.batches += 1;
-        // Step 1 (shared). With an overlapped reorganization in flight the
-        // updates are journaled (staged batch) and replay inside
-        // `seal_batch` after the merge result lands, as in `Pipeline`.
-        {
-            let _span = gcsm_obs::span("ingest", gcsm_obs::cat::PIPELINE);
-            if self.pending.is_some() {
-                self.graph.begin_staged_batch();
-            } else {
-                self.graph.begin_batch();
-            }
-            for &u in updates {
-                self.graph.apply(u);
-            }
-        }
-        let carried_sim = self.flush();
-        let summary = {
-            let _span = gcsm_obs::span("seal", gcsm_obs::cat::PIPELINE);
-            self.graph.seal_batch()
-        };
         let cpu_bw =
             self.queries.first().map(|r| r.engine.config().gpu.cpu_mem_bandwidth).unwrap_or(25.0e9);
-        let touched_bytes: usize =
-            self.graph.updated_vertices().iter().map(|&v| self.graph.list_bytes(v)).sum();
-        let update_sim = touched_bytes as f64 / cpu_bw;
-        // Exposed remainder of the joined overlapped work: only what its
-        // modeled cost exceeds the ingest window it hid behind.
-        let exposed_sim = (carried_sim - update_sim).max(0.0);
-
-        // Steps 2–4 per query.
-        let mut per_query = Vec::with_capacity(self.queries.len());
-        for (idx, reg) in self.queries.iter_mut().enumerate() {
-            let mut q_span = gcsm_obs::span("query", gcsm_obs::cat::ENGINE);
-            q_span.set_batch(self.batches - 1);
-            q_span.set_level(idx as u32);
-            let mut r = reg.engine.match_sealed(&self.graph, &summary.applied, &reg.query);
-            // The shared update cost is attributed once, to the first query.
-            if per_query.is_empty() {
-                r.phases.update += update_sim;
-            }
-            per_query.push((reg.query.name().to_string(), r));
-        }
-
-        // Step 5 (shared).
-        let reorg_bytes: usize =
-            self.graph.updated_vertices().iter().map(|&v| self.graph.list_bytes(v)).sum();
-        let reorg_sim = 2.0 * reorg_bytes as f64 / cpu_bw;
-        let deferred = if self.overlap {
-            let task = self.graph.take_reorg_task();
-            if task.is_trivial() {
-                self.graph.install_reorg(task.compute());
-                false
-            } else {
-                let handle = std::thread::spawn(move || {
-                    let mut span = gcsm_obs::span("reorg_overlap", gcsm_obs::cat::GRAPH);
-                    let res = task.compute();
-                    span.set_count(res.len() as u64);
-                    res
-                });
-                self.pending = Some(PendingReorg { handle, sim_seconds: reorg_sim });
-                true
-            }
-        } else {
-            self.graph.reorganize();
-            false
-        };
+        let queries = &mut self.queries;
+        let (mut per_query, host) =
+            self.core.run_batch(updates, cpu_bw, |graph, applied, batch| {
+                let mut per_query = Vec::with_capacity(queries.len());
+                for (idx, reg) in queries.iter_mut().enumerate() {
+                    let mut q_span = gcsm_obs::span("query", gcsm_obs::cat::ENGINE);
+                    q_span.set_batch(batch);
+                    q_span.set_level(idx as u32);
+                    let r = reg.engine.match_sealed(graph, applied, &reg.query);
+                    per_query.push((reg.query.name().to_string(), r));
+                }
+                per_query
+            });
         if let Some((_, first)) = per_query.first_mut() {
-            first.phases.reorganize += exposed_sim + if deferred { 0.0 } else { reorg_sim };
+            host.charge(first);
         }
-        drop(batch_span);
         for (_, r) in &per_query {
             crate::result::record_batch_metrics(r);
         }
@@ -310,6 +231,43 @@ mod tests {
         }
         // After warm-up, delta shipping can only reduce DMA volume.
         assert!(dma_cached <= dma_plain, "delta {dma_cached} vs full {dma_plain}");
+    }
+
+    /// An engine that matches nothing and spends no wall time of its own.
+    struct Idle(EngineConfig);
+
+    impl Engine for Idle {
+        fn name(&self) -> &'static str {
+            "idle"
+        }
+
+        fn config(&self) -> &EngineConfig {
+            &self.0
+        }
+
+        fn match_sealed(
+            &mut self,
+            _: &DynamicGraph,
+            _: &[EdgeUpdate],
+            _: &QueryGraph,
+        ) -> BatchResult {
+            BatchResult::default()
+        }
+    }
+
+    #[test]
+    fn host_phases_and_wall_go_to_the_first_query_only() {
+        let (g0, batch) = setup();
+        let mut multi = MultiPipeline::new(g0)
+            .register(queries::triangle(), Box::new(Idle(EngineConfig::default())))
+            .register(queries::q1(), Box::new(Idle(EngineConfig::default())));
+        let r = multi.process_batch(&batch);
+        let (first, second) = (&r.per_query[0].1, &r.per_query[1].1);
+        assert!(first.phases.update > 0.0);
+        assert!(first.phases.reorganize > 0.0);
+        assert!(first.wall_seconds > 0.0, "the host wall rides with the host phases");
+        assert_eq!(second.phases.total(), 0.0);
+        assert_eq!(second.wall_seconds, 0.0);
     }
 
     #[test]

@@ -24,10 +24,13 @@
 //! partition the work. Engine phases (`freq_est`, `data_copy`, `matching`)
 //! are **maxima** — the devices run concurrently, so the batch finishes
 //! when the slowest shard does. Host phases (`update`, `reorganize`) are
-//! charged once, exactly as in the single-device pipeline.
+//! charged once, exactly as in the single-device pipeline, by the same
+//! batch core (`crate::lifecycle`) — so [`ShardedPipeline::set_overlap`]
+//! overlaps the shared reorganize with the next batch's ingest here too.
 
 use crate::config::EngineConfig;
 use crate::engines::Engine;
+use crate::lifecycle::BatchCore;
 use crate::result::BatchResult;
 use gcsm_gpusim::{imbalance_factor, makespan, Device, Scheduling, SimBreakdown};
 use gcsm_graph::{CsrGraph, DynamicGraph, EdgeUpdate};
@@ -78,11 +81,10 @@ pub fn shard_config(base: &EngineConfig, num_shards: usize) -> EngineConfig {
 
 /// Drives `N` engines, one per shard, over a stream of batches.
 pub struct ShardedPipeline {
-    graph: DynamicGraph,
+    core: BatchCore,
     query: QueryGraph,
     part: Partitioning,
     shards: Vec<Shard>,
-    batches: u64,
 }
 
 impl ShardedPipeline {
@@ -103,7 +105,7 @@ impl ShardedPipeline {
                 Shard { engine, link }
             })
             .collect();
-        Self { graph: DynamicGraph::from_csr(&initial), query, part, shards, batches: 0 }
+        Self { core: BatchCore::new(&initial), query, part, shards }
     }
 
     /// Number of shards.
@@ -116,9 +118,23 @@ impl ShardedPipeline {
         &self.part
     }
 
+    /// Enable/disable overlapped reorganization for subsequent batches. An
+    /// already in-flight reorganization (if any) still joins normally on
+    /// the next batch or [`Self::flush`].
+    pub fn set_overlap(&mut self, on: bool) {
+        self.core.set_overlap(on);
+    }
+
+    /// Join and install an in-flight overlapped reorganization, if any.
+    /// Returns the modeled CPU seconds of the joined work that no later
+    /// batch will hide (0.0 when nothing was pending).
+    pub fn flush(&mut self) -> f64 {
+        self.core.flush()
+    }
+
     /// The current graph state.
     pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
+        self.core.graph()
     }
 
     /// The query.
@@ -129,180 +145,137 @@ impl ShardedPipeline {
     /// Count the query's matches on the *current* graph from scratch (same
     /// ground truth as [`crate::Pipeline::static_count`]).
     pub fn static_count(&self, symmetry_break: bool) -> i64 {
-        let snapshot = self.graph.to_csr();
-        let src = gcsm_matcher::CsrSource::new(&snapshot);
-        let opts = gcsm_matcher::DriverOptions {
-            plan: gcsm_pattern::PlanOptions { symmetry_break },
-            parallel: true,
-            ..Default::default()
-        };
-        gcsm_matcher::match_static(&src, &self.query, &snapshot.edges().collect::<Vec<_>>(), &opts)
-            .matches
+        self.core.static_count(&self.query, symmetry_break)
     }
 
-    /// Process one batch end to end across all shards.
+    /// Process one batch end to end across all shards. The merged result
+    /// carries the host phases; its wall is the host wall plus the wall of
+    /// the routed, parallel match step.
     pub fn process_batch(&mut self, updates: &[EdgeUpdate]) -> ShardedBatchResult {
-        let wall = gcsm_obs::Stopwatch::start();
         let cpu_bw = self.shards[0].engine.config().gpu.cpu_mem_bandwidth;
         let scheduling = self.shards[0].engine.config().scheduling;
-        let mut batch_span = gcsm_obs::span("batch", gcsm_obs::cat::PIPELINE);
-        batch_span.set_batch(self.batches);
-        batch_span.set_count(updates.len() as u64);
-        let batch_idx = self.batches;
-        self.batches += 1;
+        let (part, query, shards) = (&self.part, &self.query, &mut self.shards);
+        let (mut out, host) = self.core.run_batch(updates, cpu_bw, |graph, applied, batch| {
+            let wall = gcsm_obs::Stopwatch::start();
+            // ---- Route ΔE to its counting shards ----
+            let routed = {
+                let _span = gcsm_obs::span("route", gcsm_obs::cat::PIPELINE);
+                route(applied, part)
+            };
 
-        // ---- Step 1 (host, once): append ΔE to the CPU lists ----
-        {
-            let _span = gcsm_obs::span("ingest", gcsm_obs::cat::PIPELINE);
-            self.graph.begin_batch();
-            for &u in updates {
-                self.graph.apply(u);
+            // ---- Steps 2–4: every shard matches its subset, in parallel ----
+            let jobs: Vec<(usize, &[EdgeUpdate], u64)> = routed
+                .per_shard_match
+                .iter()
+                .enumerate()
+                .map(|(i, a)| (i, a.as_slice(), routed.peer_bytes_to[i]))
+                .collect();
+            let per_shard: Vec<BatchResult> = shards
+                .par_iter_mut()
+                .zip(jobs.into_par_iter())
+                .map(|(shard, (idx, assigned, peer_in))| {
+                    let mut span = gcsm_obs::span("shard_match", gcsm_obs::cat::ENGINE);
+                    span.set_batch(batch);
+                    span.set_shard(idx as u32);
+                    span.set_count(assigned.len() as u64);
+                    let mut r = shard.engine.match_sealed(graph, assigned, query);
+                    // Mirror the cut updates this shard replicates but does
+                    // not count: one batched peer transfer over its link,
+                    // charged to the shard's data-copy phase like any other
+                    // inbound bytes.
+                    if peer_in > 0 {
+                        let before = shard.link.snapshot();
+                        shard.link.peer_copy(peer_in as usize);
+                        let interval = shard.link.snapshot() - before;
+                        let peer =
+                            SimBreakdown::from_traffic(&interval, &shard.engine.config().gpu);
+                        r.phases.data_copy += peer.peer;
+                        r.sim = r.sim + peer;
+                        r.traffic = r.traffic + interval;
+                    }
+                    r
+                })
+                .collect();
+
+            // ---- Merge ----
+            let makespan_seconds = per_shard.iter().map(engine_seconds).fold(0.0, f64::max);
+            let mut merged = BatchResult {
+                engine: format!("{}x{}", per_shard.len(), per_shard[0].engine),
+                ..Default::default()
+            };
+            for r in &per_shard {
+                merged.matches += r.matches;
+                merged.stats.merge(r.stats);
+                merged.traffic = merged.traffic + r.traffic;
+                merged.sim = merged.sim + r.sim;
+                merged.cpu_access_bytes += r.cpu_access_bytes;
+                merged.cached_bytes += r.cached_bytes;
+                merged.aux_bytes += r.aux_bytes;
+                merged.phases.freq_est = merged.phases.freq_est.max(r.phases.freq_est);
+                merged.phases.data_copy = merged.phases.data_copy.max(r.phases.data_copy);
+                merged.phases.matching = merged.phases.matching.max(r.phases.matching);
             }
-        }
-        let summary = {
-            let _span = gcsm_obs::span("seal", gcsm_obs::cat::PIPELINE);
-            self.graph.seal_batch()
-        };
-        let touched_bytes: usize =
-            self.graph.updated_vertices().iter().map(|&v| self.graph.list_bytes(v)).sum();
-        let update_sim = touched_bytes as f64 / cpu_bw;
+            merged.cache_hit_rate = merged.traffic.cache_hit_rate();
 
-        // ---- Route ΔE to its counting shards ----
-        let routed = {
-            let _span = gcsm_obs::span("route", gcsm_obs::cat::PIPELINE);
-            route(&summary.applied, &self.part)
-        };
+            // ---- Load-balance model: re-assign this batch's per-update
+            // costs across the shards under the configured scheduling ----
+            let (assignment_makespan_seconds, imbalance) =
+                assignment_makespan(part, applied, &per_shard, scheduling);
+            merged.wall_seconds = wall.elapsed_seconds();
 
-        // ---- Steps 2–4: every shard matches its subset, in parallel ----
-        let graph = &self.graph;
-        let query = &self.query;
-        let jobs: Vec<(usize, &[EdgeUpdate], u64)> = routed
-            .per_shard_match
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (i, a.as_slice(), routed.peer_bytes_to[i]))
-            .collect();
-        let per_shard: Vec<BatchResult> = self
-            .shards
-            .par_iter_mut()
-            .zip(jobs.into_par_iter())
-            .map(|(shard, (idx, assigned, peer_in))| {
-                let mut span = gcsm_obs::span("shard_match", gcsm_obs::cat::ENGINE);
-                span.set_batch(batch_idx);
-                span.set_shard(idx as u32);
-                span.set_count(assigned.len() as u64);
-                let mut r = shard.engine.match_sealed(graph, assigned, query);
-                // Mirror the cut updates this shard replicates but does not
-                // count: one batched peer transfer over its link, charged to
-                // the shard's data-copy phase like any other inbound bytes.
-                if peer_in > 0 {
-                    let before = shard.link.snapshot();
-                    shard.link.peer_copy(peer_in as usize);
-                    let interval = shard.link.snapshot() - before;
-                    let peer = SimBreakdown::from_traffic(&interval, &shard.engine.config().gpu);
-                    r.phases.data_copy += peer.peer;
-                    r.sim = r.sim + peer;
-                    r.traffic = r.traffic + interval;
-                }
-                r
-            })
-            .collect();
-
-        // ---- Merge ----
-        let engine_seconds =
-            |r: &BatchResult| r.phases.freq_est + r.phases.data_copy + r.phases.matching;
-        let makespan_seconds = per_shard.iter().map(engine_seconds).fold(0.0, f64::max);
-        let mut merged = BatchResult {
-            engine: format!("{}x{}", self.shards.len(), per_shard[0].engine),
-            ..Default::default()
-        };
-        for r in &per_shard {
-            merged.matches += r.matches;
-            merged.stats.merge(r.stats);
-            merged.traffic = merged.traffic + r.traffic;
-            merged.sim = merged.sim + r.sim;
-            merged.cpu_access_bytes += r.cpu_access_bytes;
-            merged.cached_bytes += r.cached_bytes;
-            merged.aux_bytes += r.aux_bytes;
-            merged.phases.freq_est = merged.phases.freq_est.max(r.phases.freq_est);
-            merged.phases.data_copy = merged.phases.data_copy.max(r.phases.data_copy);
-            merged.phases.matching = merged.phases.matching.max(r.phases.matching);
-        }
-        merged.cache_hit_rate = merged.traffic.cache_hit_rate();
-
-        // ---- Load-balance model: re-assign this batch's per-update costs
-        // across the shards under the configured scheduling policy ----
-        let (assignment_makespan_seconds, imbalance) =
-            self.assignment_makespan(&summary.applied, &per_shard, scheduling);
-
-        // ---- Step 5 (host, once): reorganize ----
-        let reorg_bytes: usize =
-            self.graph.updated_vertices().iter().map(|&v| self.graph.list_bytes(v)).sum();
-        let reorg_sim = 2.0 * reorg_bytes as f64 / cpu_bw;
-        self.graph.reorganize();
-
-        merged.phases.update += update_sim;
-        merged.phases.reorganize += reorg_sim;
-        merged.wall_seconds = wall.elapsed_seconds();
-        drop(batch_span);
-        crate::result::record_batch_metrics(&merged);
-
-        ShardedBatchResult {
-            merged,
-            per_shard,
-            peer_bytes: routed.peer_bytes(),
-            cut_updates: routed.cut_updates,
-            makespan_seconds,
-            assignment_makespan_seconds,
-            imbalance,
-        }
-    }
-
-    /// Model the batch's per-update costs as schedulable tasks: each
-    /// shard's engine seconds spread uniformly over its assigned updates,
-    /// tasks listed in batch order, then scheduled onto `N` "blocks"
-    /// (devices) under `policy`. Returns `(makespan_seconds, imbalance)`.
-    fn assignment_makespan(
-        &self,
-        applied: &[EdgeUpdate],
-        per_shard: &[BatchResult],
-        policy: Scheduling,
-    ) -> (f64, f64) {
-        let engine_seconds =
-            |r: &BatchResult| r.phases.freq_est + r.phases.data_copy + r.phases.matching;
-        let counts: Vec<usize> = {
-            let mut c = vec![0usize; self.shards.len()];
-            for u in applied {
-                c[self.part.counting_shard(u)] += 1;
+            ShardedBatchResult {
+                merged,
+                per_shard,
+                peer_bytes: routed.peer_bytes(),
+                cut_updates: routed.cut_updates,
+                makespan_seconds,
+                assignment_makespan_seconds,
+                imbalance,
             }
-            c
-        };
-        let per_update_ns: Vec<u64> = per_shard
-            .iter()
-            .zip(&counts)
-            .map(|(r, &c)| if c == 0 { 0 } else { (engine_seconds(r) * 1e9 / c as f64) as u64 })
-            .collect();
-        let task_costs: Vec<u64> =
-            applied.iter().map(|u| per_update_ns[self.part.counting_shard(u)]).collect();
-        let blocks = self.shards.len();
-        let ms = makespan(&task_costs, blocks, policy) as f64 * 1e-9;
-        let imb = imbalance_factor(&task_costs, blocks, policy);
-        (ms, imb)
+        });
+        host.charge(&mut out.merged);
+        crate::result::record_batch_metrics(&out.merged);
+        out
     }
+}
 
-    /// Process a whole stream of batches, returning per-batch results.
-    pub fn process_stream<'a>(
-        &mut self,
-        batches: impl Iterator<Item = &'a [EdgeUpdate]>,
-    ) -> Vec<ShardedBatchResult> {
-        batches.map(|b| self.process_batch(b)).collect()
+/// A shard's engine phases: what the devices run concurrently.
+fn engine_seconds(r: &BatchResult) -> f64 {
+    r.phases.freq_est + r.phases.data_copy + r.phases.matching
+}
+
+/// Model the batch's per-update costs as schedulable tasks: each shard's
+/// engine seconds spread uniformly over its assigned updates, tasks listed
+/// in batch order, then scheduled onto `N` "blocks" (devices) under
+/// `policy`. Returns `(makespan_seconds, imbalance)`.
+fn assignment_makespan(
+    part: &Partitioning,
+    applied: &[EdgeUpdate],
+    per_shard: &[BatchResult],
+    policy: Scheduling,
+) -> (f64, f64) {
+    let blocks = per_shard.len();
+    let mut counts = vec![0usize; blocks];
+    for u in applied {
+        counts[part.counting_shard(u)] += 1;
     }
+    let per_update_ns: Vec<u64> = per_shard
+        .iter()
+        .zip(&counts)
+        .map(|(r, &c)| if c == 0 { 0 } else { (engine_seconds(r) * 1e9 / c as f64) as u64 })
+        .collect();
+    let task_costs: Vec<u64> =
+        applied.iter().map(|u| per_update_ns[part.counting_shard(u)]).collect();
+    let ms = makespan(&task_costs, blocks, policy) as f64 * 1e-9;
+    let imb = imbalance_factor(&task_costs, blocks, policy);
+    (ms, imb)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engines::{GcsmEngine, ZeroCopyEngine};
+    use crate::multi::MultiPipeline;
     use crate::pipeline::Pipeline;
     use gcsm_pattern::queries;
 
@@ -325,22 +298,40 @@ mod tests {
 
     #[test]
     fn one_shard_reproduces_the_single_device_pipeline() {
+        // Pipeline, MultiPipeline with one query and ShardedPipeline with
+        // one shard run the same batch core: ΔM and the host phases agree
+        // bit for bit, serial and overlapped.
         let (g0, batches) = setup();
-        let mut single = Pipeline::new(g0.clone(), queries::triangle());
-        let mut e = GcsmEngine::new(EngineConfig::default());
-        let mut sharded =
-            ShardedPipeline::new(g0, queries::triangle(), PartitionPolicy::Range, engines(1));
-        for b in &batches {
-            let r1 = single.process_batch(&mut e, b);
-            let rn = sharded.process_batch(b);
-            assert_eq!(rn.merged.matches, r1.matches);
-            assert_eq!(rn.peer_bytes, 0, "one shard has no peer traffic");
-            assert_eq!(rn.cut_updates, 0);
-            // Host phases are charged identically.
-            assert!((rn.merged.phases.update - r1.phases.update).abs() < 1e-15);
-            assert!((rn.merged.phases.reorganize - r1.phases.reorganize).abs() < 1e-15);
+        let bits =
+            |r: &BatchResult| (r.matches, r.phases.update.to_bits(), r.phases.reorganize.to_bits());
+        for overlap in [false, true] {
+            let mut single = Pipeline::new(g0.clone(), queries::triangle());
+            single.set_overlap(overlap);
+            let mut e = GcsmEngine::new(EngineConfig::default());
+            let mut multi = MultiPipeline::new(g0.clone())
+                .register(queries::triangle(), Box::new(GcsmEngine::new(EngineConfig::default())));
+            multi.set_overlap(overlap);
+            let mut sharded = ShardedPipeline::new(
+                g0.clone(),
+                queries::triangle(),
+                PartitionPolicy::Range,
+                engines(1),
+            );
+            sharded.set_overlap(overlap);
+            for b in &batches {
+                let r1 = single.process_batch(&mut e, b);
+                let rm = multi.process_batch(b);
+                let rn = sharded.process_batch(b);
+                assert_eq!(rn.peer_bytes, 0, "one shard has no peer traffic");
+                assert_eq!(rn.cut_updates, 0);
+                assert_eq!(bits(&rm.per_query[0].1), bits(&r1), "multi, overlap {overlap}");
+                assert_eq!(bits(&rn.merged), bits(&r1), "sharded, overlap {overlap}");
+            }
+            let tail = single.flush().to_bits();
+            assert_eq!(multi.flush().to_bits(), tail);
+            assert_eq!(sharded.flush().to_bits(), tail);
+            assert_eq!(sharded.static_count(false), single.static_count(false));
         }
-        assert_eq!(sharded.static_count(false), single.static_count(false));
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::config::GpuConfig;
 use crate::counters::{Traffic, TrafficSnapshot};
 use crate::pagecache::PageCache;
-use crate::trace::{TraceEvent, TraceRing};
 use std::sync::Arc;
 
 /// Which path a neighbor-list access took. The matching engines decide the
@@ -26,30 +25,17 @@ pub struct Device {
     config: GpuConfig,
     traffic: Arc<Traffic>,
     um_cache: Arc<PageCache>,
-    trace: Arc<TraceRing>,
 }
 
 impl Device {
-    /// New device with the given hardware model (tracing disabled).
+    /// New device with the given hardware model.
     pub fn new(config: GpuConfig) -> Self {
-        Self::with_trace(config, 0)
-    }
-
-    /// New device recording the last `trace_capacity` memory events (see
-    /// [`crate::trace`]).
-    pub fn with_trace(config: GpuConfig, trace_capacity: usize) -> Self {
         let pages = config.um_cache_bytes / config.um_page;
         Self {
             config,
             traffic: Arc::new(Traffic::default()),
             um_cache: Arc::new(PageCache::new(pages)),
-            trace: Arc::new(TraceRing::new(trace_capacity)),
         }
-    }
-
-    /// The transfer trace (empty ring when tracing is disabled).
-    pub fn trace(&self) -> &TraceRing {
-        &self.trace
     }
 
     /// The hardware model in effect.
@@ -81,7 +67,6 @@ impl Device {
     pub fn dma(&self, bytes: usize) {
         self.traffic.add_dma_transactions(1);
         self.traffic.add_dma_bytes(bytes as u64);
-        self.trace.record(TraceEvent::Dma { bytes });
     }
 
     /// One bulk DMA transfer under a delta plan: only `shipped` bytes cross
@@ -92,7 +77,6 @@ impl Device {
         self.traffic.add_dma_transactions(1);
         self.traffic.add_dma_bytes(shipped as u64);
         self.traffic.add_dma_saved_bytes(saved as u64);
-        self.trace.record(TraceEvent::Dma { bytes: shipped });
     }
 
     /// One inter-device transfer of `bytes` over the peer link (sharded
@@ -102,7 +86,6 @@ impl Device {
     pub fn peer_copy(&self, bytes: usize) {
         self.traffic.add_peer_copies(1);
         self.traffic.add_peer_bytes(bytes as u64);
-        self.trace.record(TraceEvent::Peer { bytes });
     }
 
     /// Record a neighbor-list read of `bytes` through `path`.
@@ -115,12 +98,10 @@ impl Device {
         match path {
             AccessPath::DeviceCache => {
                 self.traffic.add_device_bytes(bytes as u64);
-                self.trace.record(TraceEvent::DeviceRead { bytes });
             }
             AccessPath::ZeroCopy => {
                 self.traffic.add_zerocopy_bytes(bytes as u64);
                 self.traffic.add_zerocopy_transactions(self.config.zerocopy_transactions(bytes));
-                self.trace.record(TraceEvent::ZeroCopy { bytes });
             }
             AccessPath::UnifiedMemory => {
                 if bytes == 0 {
@@ -132,7 +113,6 @@ impl Device {
                 let faults = self.um_cache.access_range(first, last);
                 self.traffic.add_um_faults(faults);
                 self.traffic.add_um_hits(last - first + 1 - faults);
-                self.trace.record(TraceEvent::Unified { faults, hits: last - first + 1 - faults });
             }
             AccessPath::HostCpu => {}
         }
@@ -196,7 +176,6 @@ impl Clone for Device {
             config: self.config,
             traffic: Arc::clone(&self.traffic),
             um_cache: Arc::clone(&self.um_cache),
-            trace: Arc::clone(&self.trace),
         }
     }
 }
@@ -268,31 +247,23 @@ mod tests {
 
     #[test]
     fn peer_copy_counts_bytes_and_transactions() {
-        let d = Device::with_trace(GpuConfig::default(), 8);
+        let d = dev();
         d.peer_copy(512);
         d.peer_copy(64);
         let s = d.snapshot();
         assert_eq!(s.peer_copies, 2);
         assert_eq!(s.peer_bytes, 576);
         assert_eq!(s.dma_bytes, 0, "peer traffic must not pollute DMA");
-        assert_eq!(
-            d.trace().drain(),
-            vec![
-                crate::trace::TraceEvent::Peer { bytes: 512 },
-                crate::trace::TraceEvent::Peer { bytes: 64 },
-            ]
-        );
     }
 
     #[test]
     fn dma_delta_charges_shipped_and_records_saved() {
-        let d = Device::with_trace(GpuConfig::default(), 8);
+        let d = dev();
         d.dma_delta(100, 300);
         let s = d.snapshot();
         assert_eq!(s.dma_bytes, 100);
         assert_eq!(s.dma_transactions, 1);
         assert_eq!(s.dma_saved_bytes, 300);
-        assert_eq!(d.trace().drain(), vec![crate::trace::TraceEvent::Dma { bytes: 100 }]);
     }
 
     #[test]
@@ -306,20 +277,16 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_transfers_when_enabled() {
-        let d = Device::with_trace(GpuConfig::default(), 8);
+    fn transfers_are_counted_per_path() {
+        let d = dev();
         d.dma(100);
         d.read_list(AccessPath::ZeroCopy, 0, 64);
         d.read_list(AccessPath::DeviceCache, 0, 32);
-        let ev = d.trace().drain();
-        assert_eq!(
-            ev,
-            vec![
-                crate::trace::TraceEvent::Dma { bytes: 100 },
-                crate::trace::TraceEvent::ZeroCopy { bytes: 64 },
-                crate::trace::TraceEvent::DeviceRead { bytes: 32 },
-            ]
-        );
+        let s = d.snapshot();
+        assert_eq!((s.dma_transactions, s.dma_bytes), (1, 100));
+        assert_eq!(s.zerocopy_bytes, 64);
+        assert_eq!(s.zerocopy_transactions, GpuConfig::default().zerocopy_transactions(64));
+        assert_eq!(s.device_bytes, 32);
     }
 
     #[test]

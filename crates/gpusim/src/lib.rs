@@ -34,7 +34,6 @@ pub mod device;
 pub mod pagecache;
 pub mod schedule;
 pub mod simtime;
-pub mod trace;
 
 pub use config::GpuConfig;
 pub use counters::{Traffic, TrafficSnapshot};
@@ -42,4 +41,3 @@ pub use device::{AccessPath, Device};
 pub use pagecache::PageCache;
 pub use schedule::{imbalance_factor, makespan, Scheduling};
 pub use simtime::SimBreakdown;
-pub use trace::{TraceEvent, TraceRing};

@@ -37,8 +37,8 @@ struct AdjList {
 
 /// Merge one raw adjacency array back into a single sorted live run:
 /// tombstones in the prefix are dropped and the sorted tail is interleaved
-/// (linear time). Shared by the serial, parallel, and off-thread
-/// reorganization paths so they cannot drift apart.
+/// (linear time). Shared by the serial and off-thread reorganization paths
+/// so they cannot drift apart.
 fn merge_list(data: &[u32], old_len: usize) -> Vec<u32> {
     let (prefix, tail) = data.split_at(old_len);
     let mut merged = Vec::with_capacity(data.len());
@@ -173,9 +173,8 @@ impl ReorgTask {
         self.items.is_empty()
     }
 
-    /// Run the merges (rayon-parallel across lists, as in
-    /// [`DynamicGraph::reorganize_parallel`]). Borrows nothing from the
-    /// graph, so it can run on any thread.
+    /// Run the merges (rayon-parallel across lists). Borrows nothing from
+    /// the graph, so it can run on any thread.
     pub fn compute(self) -> ReorgResult {
         use rayon::prelude::*;
         let epoch = self.epoch;
@@ -537,45 +536,6 @@ impl DynamicGraph {
         count
     }
 
-    /// Parallel variant of [`Self::reorganize`]: updated lists are
-    /// independent, so the merge runs across the rayon pool (the paper's
-    /// platform reorganizes with 32 CPU threads available). Semantically
-    /// identical to the serial version.
-    pub fn reorganize_parallel(&mut self) -> usize {
-        use rayon::prelude::*;
-        assert_eq!(self.phase, Phase::Sealed, "reorganize requires a sealed batch");
-        let mut span = gcsm_obs::span("reorganize", gcsm_obs::cat::GRAPH);
-        let mut touched_flags = vec![false; self.lists.len()];
-        for &v in &self.touched {
-            touched_flags[v as usize] = true;
-        }
-        let count = self
-            .lists
-            .par_iter_mut()
-            .zip(touched_flags.par_iter())
-            .filter(|(_, &t)| t)
-            .map(|(list, _)| {
-                if list.dead == 0 && list.old_len == list.data.len() {
-                    return 0usize;
-                }
-                let merged = merge_list(&list.data, list.old_len);
-                list.data.clear();
-                list.data.extend_from_slice(&merged);
-                list.old_len = list.data.len();
-                list.dead = 0;
-                debug_assert!(
-                    list.is_clean_sorted(),
-                    "parallel reorganize left a list unsorted, duplicated, or tombstoned"
-                );
-                1
-            })
-            .sum();
-        self.touched.clear();
-        self.phase = Phase::Clean;
-        span.set_count(count as u64);
-        count
-    }
-
     /// Detach the merge work for the sealed batch so it can run off-thread
     /// ([`ReorgTask::compute`]) while the graph keeps serving the sealed
     /// views — and, via [`Self::begin_staged_batch`], journaling the next
@@ -916,28 +876,6 @@ mod tests {
         g.begin_batch();
         g.seal_batch();
         g.begin_batch();
-    }
-
-    #[test]
-    fn parallel_reorganize_equals_serial() {
-        let build = || {
-            let mut g = seed();
-            g.begin_batch();
-            g.apply(EdgeUpdate::insert(3, 4));
-            g.apply(EdgeUpdate::delete(0, 2));
-            g.apply(EdgeUpdate::insert(0, 4));
-            g.seal_batch();
-            g
-        };
-        let mut a = build();
-        let mut b = build();
-        let ca = a.reorganize();
-        let cb = b.reorganize_parallel();
-        assert_eq!(ca, cb);
-        for v in 0..a.num_vertices() as u32 {
-            assert_eq!(a.raw_list(v).0, b.raw_list(v).0, "v{v}");
-        }
-        assert!(b.updated_vertices().is_empty());
     }
 
     #[test]

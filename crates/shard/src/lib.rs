@@ -4,14 +4,12 @@
 //! crate supplies the graph-side half of the sharding layer:
 //!
 //! * [`partition`] — assign every vertex an owning shard (hash, range, or
-//!   degree-balanced policy) and materialise per-shard [`gcsm_graph::DynamicGraph`]s
-//!   with boundary-vertex replication (a shard stores every edge incident to
-//!   a vertex it owns, so cut edges exist on both endpoint owners);
-//! * [`router`] — split a sealed batch's `ΔE` across shards: every shard
-//!   whose partition contains the edge receives it for *graph maintenance*,
-//!   while exactly **one** shard (the owner of the canonical lower endpoint)
-//!   receives it for *matching*, so the summed per-shard `ΔM` counts every
-//!   delta seed exactly once.
+//!   degree-balanced policy);
+//! * [`router`] — split a sealed batch's `ΔE` across shards: exactly
+//!   **one** shard (the owner of the canonical lower endpoint) receives each
+//!   update for *matching*, so the summed per-shard `ΔM` counts every delta
+//!   seed exactly once, and a cut update's mirror to the other endpoint's
+//!   owner is billed as peer traffic.
 //!
 //! The exactly-once invariant is what makes sharded `ΔM` bit-identical to
 //! the single-device pipeline: incremental matching decomposes into

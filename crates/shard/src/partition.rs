@@ -1,14 +1,11 @@
-//! Edge partitioner: vertex → owning shard, plus per-shard materialisation.
+//! Vertex partitioner: vertex → owning shard.
 //!
-//! All three policies assign *vertices* to shards; an edge belongs to the
-//! partition of each endpoint's owner, so an edge whose endpoints live on
-//! different shards is **replicated** on both (boundary replication). The
-//! replication factor — per-shard edges summed over shards, divided by the
-//! graph's edges — is the storage price of keeping every owned vertex's
-//! neighbor list complete on its shard.
+//! All three policies assign *vertices* to shards. An edge whose endpoints
+//! have different owners is *cut*: its update is counted by one owner and
+//! mirrored to the other over the peer link (see [`crate::router`]).
 
 use crate::ShardId;
-use gcsm_graph::{CsrBuilder, CsrGraph, DynamicGraph, EdgeUpdate, GraphStats, VertexId};
+use gcsm_graph::{CsrGraph, DynamicGraph, EdgeUpdate, VertexId};
 
 /// How vertices are assigned to shards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -18,7 +15,7 @@ pub enum PartitionPolicy {
     /// Contiguous vertex-id ranges of equal vertex count.
     Range,
     /// Contiguous vertex-id ranges balanced by *degree mass* (each shard
-    /// gets ≈ `2|E|/N` endpoint slots, computed from [`GraphStats`]), so a
+    /// gets ≈ `2|E|/N` endpoint slots, computed from [`gcsm_graph::GraphStats`]), so a
     /// skewed graph does not overload the shard holding its hubs.
     DegreeBalanced,
 }
@@ -129,35 +126,6 @@ impl Partitioning {
         self.owner(u.canonical().0)
     }
 
-    /// Materialise the per-shard graphs: shard `s` holds every edge with an
-    /// endpoint owned by `s` (boundary replication), over the full vertex-id
-    /// space so ids stay stable across shards.
-    pub fn materialize(&self, graph: &CsrGraph) -> Vec<DynamicGraph> {
-        let mut builders: Vec<CsrBuilder> =
-            (0..self.num_shards).map(|_| CsrBuilder::new(graph.num_vertices())).collect();
-        for (a, b) in graph.edges() {
-            let (oa, ob) = (self.owner(a), self.owner(b));
-            builders[oa].add_edge(a, b);
-            if ob != oa {
-                builders[ob].add_edge(a, b);
-            }
-        }
-        builders.into_iter().map(|b| DynamicGraph::from_csr(&b.build())).collect()
-    }
-
-    /// Per-shard [`GraphStats`] of the materialised partitions.
-    pub fn shard_stats(&self, graph: &CsrGraph) -> Vec<GraphStats> {
-        self.materialize(graph).iter().map(DynamicGraph::stats).collect()
-    }
-
-    /// `Σ_s |E_s| / |E|` — storage blow-up from boundary replication
-    /// (1.0 = no cut edges; 2.0 = every edge cut).
-    pub fn replication_factor(&self, graph: &CsrGraph) -> f64 {
-        let total = graph.num_edges().max(1);
-        let replicated: usize = graph.edges().filter(|&(a, b)| self.is_cut(a, b)).count();
-        (total + replicated) as f64 / total as f64
-    }
-
     /// Endpoint-mass per shard (degree sums over owned vertices) — the load
     /// model the degree-balanced policy equalises.
     pub fn degree_loads(&self, graph: &CsrGraph) -> Vec<u64> {
@@ -176,11 +144,6 @@ mod tests {
     fn path_graph(n: usize) -> CsrGraph {
         let edges: Vec<(VertexId, VertexId)> = (0..n as VertexId - 1).map(|v| (v, v + 1)).collect();
         CsrGraph::from_edges(n, &edges)
-    }
-
-    fn star_graph(leaves: usize) -> CsrGraph {
-        let edges: Vec<(VertexId, VertexId)> = (1..=leaves as VertexId).map(|v| (0, v)).collect();
-        CsrGraph::from_edges(leaves + 1, &edges)
     }
 
     #[test]
@@ -207,32 +170,8 @@ mod tests {
             [PartitionPolicy::HashSrc, PartitionPolicy::Range, PartitionPolicy::DegreeBalanced]
         {
             let p = Partitioning::compute(&g, policy, 1);
-            assert!((p.replication_factor(&g) - 1.0).abs() < 1e-12);
-            let parts = p.materialize(&g);
-            assert_eq!(parts.len(), 1);
-            assert_eq!(parts[0].stats().num_edges, g.num_edges());
-        }
-    }
-
-    #[test]
-    fn materialized_partitions_cover_every_edge() {
-        let g = star_graph(20);
-        for policy in
-            [PartitionPolicy::HashSrc, PartitionPolicy::Range, PartitionPolicy::DegreeBalanced]
-        {
-            let p = Partitioning::compute(&g, policy, 4);
-            let parts = p.materialize(&g);
-            // Every original edge appears on the owner of each endpoint.
-            for (a, b) in g.edges() {
-                let snap_a = parts[p.owner(a)].to_csr();
-                let snap_b = parts[p.owner(b)].to_csr();
-                assert!(snap_a.has_edge(a, b));
-                assert!(snap_b.has_edge(a, b));
-            }
-            // And shard edge counts sum to |E| + replicated cut edges.
-            let total: usize = parts.iter().map(|d| d.stats().num_edges).sum();
-            let expect = g.num_edges() + g.edges().filter(|&(a, b)| p.is_cut(a, b)).count();
-            assert_eq!(total, expect);
+            assert!(g.edges().all(|(a, b)| !p.is_cut(a, b)));
+            assert_eq!(p.degree_loads(&g), vec![2 * g.num_edges() as u64]);
         }
     }
 

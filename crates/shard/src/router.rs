@@ -1,15 +1,11 @@
 //! Cross-shard delta router.
 //!
-//! A sealed batch's `ΔE` is split along two axes:
-//!
-//! * **maintenance** — every shard whose partition contains the edge (the
-//!   owner of each endpoint) must apply the update to keep its replicated
-//!   boundary consistent; a cut update therefore appears in two shards'
-//!   maintenance subsets, and the copy shipped to the *non-counting* replica
-//!   is charged as peer traffic ([`PEER_UPDATE_BYTES`] per update);
-//! * **matching** — exactly **one** shard (the counting shard: owner of the
-//!   canonical lower endpoint) enumerates the update's delta seeds, so the
-//!   per-shard `ΔM` sum counts each seed exactly once.
+//! A sealed batch's `ΔE` is split for **matching**: exactly **one** shard
+//! (the counting shard: owner of the canonical lower endpoint) enumerates
+//! each update's delta seeds, so the per-shard `ΔM` sum counts each seed
+//! exactly once. A cut update is also mirrored to its other endpoint's
+//! owner, and that copy is charged as peer traffic ([`PEER_UPDATE_BYTES`]
+//! per update).
 //!
 //! Batch order is preserved within every subset: each shard sees its
 //! updates in the same relative order the single-device pipeline would,
@@ -25,9 +21,6 @@ pub const PEER_UPDATE_BYTES: u64 = 12;
 /// A batch split across shards. Produced by [`route`].
 #[derive(Clone, Debug)]
 pub struct RoutedBatch {
-    /// Per-shard *maintenance* subsets: every update touching an edge the
-    /// shard replicates, in batch order.
-    pub per_shard_graph: Vec<Vec<EdgeUpdate>>,
     /// Per-shard *matching* subsets: each update appears in exactly one
     /// shard's list (the counting shard), in batch order.
     pub per_shard_match: Vec<Vec<EdgeUpdate>>,
@@ -53,22 +46,19 @@ impl RoutedBatch {
 /// Route `batch` across the shards of `part`.
 pub fn route(batch: &[EdgeUpdate], part: &Partitioning) -> RoutedBatch {
     let n = part.num_shards();
-    let mut per_shard_graph: Vec<Vec<EdgeUpdate>> = vec![Vec::new(); n];
     let mut per_shard_match: Vec<Vec<EdgeUpdate>> = vec![Vec::new(); n];
     let mut peer_bytes_to = vec![0u64; n];
     let mut cut_updates = 0usize;
     for u in batch {
         let counting = part.counting_shard(u);
         per_shard_match[counting].push(*u);
-        per_shard_graph[counting].push(*u);
         let other = part.owner(u.canonical().1);
         if other != counting {
             cut_updates += 1;
-            per_shard_graph[other].push(*u);
             peer_bytes_to[other] += PEER_UPDATE_BYTES;
         }
     }
-    RoutedBatch { per_shard_graph, per_shard_match, cut_updates, peer_bytes_to }
+    RoutedBatch { per_shard_match, cut_updates, peer_bytes_to }
 }
 
 #[cfg(test)]
@@ -93,7 +83,6 @@ mod tests {
         let r = route(&batch, &p);
         assert_eq!(r.num_shards(), 1);
         assert_eq!(r.per_shard_match[0], batch);
-        assert_eq!(r.per_shard_graph[0], batch);
         assert_eq!(r.cut_updates, 0);
         assert_eq!(r.peer_bytes(), 0);
     }
@@ -108,8 +97,6 @@ mod tests {
         let r = route(&[cut, local], &p);
         assert_eq!(r.per_shard_match[0], vec![cut]);
         assert_eq!(r.per_shard_match[1], vec![local]);
-        // Shard 1 still maintains the cut edge (vertex 6 is its boundary).
-        assert_eq!(r.per_shard_graph[1], vec![cut, local]);
         assert_eq!(r.cut_updates, 1);
         assert_eq!(r.peer_bytes_to, vec![0, PEER_UPDATE_BYTES]);
     }
@@ -122,7 +109,7 @@ mod tests {
             (0..16u32).map(|i| EdgeUpdate::insert(i, (i * 7 + 1) % 16)).collect();
         let r = route(&batch, &p);
         let pos = |u: &EdgeUpdate| batch.iter().position(|b| b == u).unwrap_or(usize::MAX);
-        for subset in r.per_shard_match.iter().chain(r.per_shard_graph.iter()) {
+        for subset in &r.per_shard_match {
             let order: Vec<usize> = subset.iter().map(pos).collect();
             assert!(order.windows(2).all(|w| w[0] < w[1]), "order broken: {order:?}");
         }
@@ -165,10 +152,7 @@ mod tests {
                 }
             }
 
-            // Maintenance covers matching, and the overflow is exactly the
-            // cut updates — each billed PEER_UPDATE_BYTES to its replica.
-            let maint: usize = r.per_shard_graph.iter().map(Vec::len).sum();
-            prop_assert_eq!(maint, batch.len() + r.cut_updates);
+            // Each cut update is billed PEER_UPDATE_BYTES to its replica.
             prop_assert_eq!(r.peer_bytes(), r.cut_updates as u64 * PEER_UPDATE_BYTES);
         }
     }

@@ -106,6 +106,68 @@ fn sharded_matches_single_device_zerocopy_kite() {
     }
 }
 
+/// Overlapped reorganize through the sharded front end: over a stream
+/// with deletes and re-inserts of deleted edges, every batch's ΔM equals
+/// the serial single-device pipeline's, the final graphs agree, and the
+/// modeled reorganize total (in-flight tail included) never exceeds the
+/// serial total.
+#[test]
+fn overlapped_sharded_matches_serial_single_device() {
+    let base = gnm(256, 2048, 7);
+    let stream = UpdateStream::generate(&base, StreamConfig::Fraction(0.3), 29);
+    let mut updates = stream.updates.clone();
+    // Resurrect the first deleted edges after everything else has run.
+    updates.extend(
+        stream
+            .updates
+            .iter()
+            .filter(|u| u.op == UpdateOp::Delete)
+            .take(40)
+            .map(|u| EdgeUpdate { op: UpdateOp::Insert, ..*u }),
+    );
+    let batches: Vec<&[EdgeUpdate]> = updates.chunks(96).collect();
+    let q = queries::triangle();
+    let budget = stream.initial.adjacency_bytes().max(1 << 16);
+
+    let mut serial = Pipeline::new(stream.initial.clone(), q.clone());
+    let mut engine = make_engine(EngineKind::Gcsm, EngineConfig::with_cache_budget(budget));
+    let reference: Vec<(i64, f64)> = batches
+        .iter()
+        .map(|b| {
+            let r = serial.process_batch(engine.as_mut(), b);
+            (r.matches, r.phases.reorganize)
+        })
+        .collect();
+    let serial_reorg: f64 = reference.iter().map(|&(_, t)| t).sum();
+    assert!(serial_reorg > 0.0);
+    let serial_edges = serial.graph().to_csr().edges().collect::<Vec<_>>();
+
+    for shards in [2usize, 4] {
+        let cfg = shard_config(&EngineConfig::with_cache_budget(budget), shards);
+        let engines = (0..shards).map(|_| make_engine(EngineKind::Gcsm, cfg.clone())).collect();
+        let mut p = ShardedPipeline::new(
+            stream.initial.clone(),
+            q.clone(),
+            PartitionPolicy::HashSrc,
+            engines,
+        );
+        p.set_overlap(true);
+        let mut overlap_reorg = 0.0;
+        for (i, b) in batches.iter().enumerate() {
+            let r = p.process_batch(b);
+            assert_eq!(r.merged.matches, reference[i].0, "batch {i} diverges at {shards} shards");
+            overlap_reorg += r.merged.phases.reorganize;
+        }
+        overlap_reorg += p.flush();
+        assert!(p.graph().updated_vertices().is_empty());
+        assert_eq!(p.graph().to_csr().edges().collect::<Vec<_>>(), serial_edges);
+        assert!(
+            overlap_reorg <= serial_reorg,
+            "{shards} shards: overlap {overlap_reorg} exceeds serial {serial_reorg}"
+        );
+    }
+}
+
 /// One generated case: initial-graph seed, raw update requests (endpoint
 /// pair + insert flag), batch size, shard count, policy selector.
 type Case = (u64, Vec<(u8, u8, bool)>, usize, usize, u8);
