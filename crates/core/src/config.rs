@@ -1,7 +1,7 @@
 //! Engine configuration shared by all evaluated systems.
 
 use gcsm_gpusim::{GpuConfig, Scheduling};
-use gcsm_matcher::{EnumeratorKind, IntersectAlgo};
+use gcsm_matcher::DriverOptions;
 use gcsm_pattern::PlanOptions;
 
 /// Configuration for one engine instance.
@@ -12,10 +12,6 @@ pub struct EngineConfig {
     pub gpu: GpuConfig,
     /// Plan options (symmetry breaking for unique-subgraph counting).
     pub plan: PlanOptions,
-    /// Set-intersection kernel selection.
-    pub algo: IntersectAlgo,
-    /// Enumerator implementation (stack = the GPU kernel shape).
-    pub enumerator: EnumeratorKind,
     /// Override the number of random walks per delta plan; `None` uses the
     /// paper's rule `M = |ΔE|·D^{n−2}/32^n` (Sec. VI-A).
     pub walks_override: Option<u64>,
@@ -50,8 +46,6 @@ impl Default for EngineConfig {
         Self {
             gpu: GpuConfig::default(),
             plan: PlanOptions::default(),
-            algo: IntersectAlgo::Auto,
-            enumerator: EnumeratorKind::Stack,
             walks_override: None,
             adaptive_walks: false,
             delta_cache: false,
@@ -76,6 +70,18 @@ impl EngineConfig {
     /// Config with an explicit device cache budget in bytes.
     pub fn with_cache_budget(budget: usize) -> Self {
         Self { gpu: GpuConfig::rtx3090_scaled(budget), ..Self::default() }
+    }
+
+    /// The matcher driver options every engine runs its seeds with: the
+    /// default intersection kernel and the stack enumerator (the GPU
+    /// kernel's shape), this config's plan options, and
+    /// [`Self::parallel_kernel`].
+    pub fn driver_options(&self) -> DriverOptions {
+        DriverOptions {
+            plan: self.plan,
+            parallel: self.parallel_kernel,
+            ..DriverOptions::default()
+        }
     }
 }
 

@@ -12,7 +12,7 @@ use crate::config::EngineConfig;
 use crate::result::{BatchResult, PhaseBreakdown};
 use gcsm_gpusim::Device;
 use gcsm_graph::{DynamicGraph, EdgeUpdate};
-use gcsm_matcher::{match_incremental, DriverOptions, DynSource};
+use gcsm_matcher::{match_incremental, DynSource};
 use gcsm_pattern::QueryGraph;
 
 /// The CPU WCOJ engine.
@@ -50,12 +50,7 @@ impl Engine for CpuWcojEngine {
         let overall = self.device.snapshot();
         let mut m = Measurer::begin(&self.device, &self.cfg);
         let src = DynSource::new(graph);
-        let opts = DriverOptions {
-            algo: self.cfg.algo,
-            enumerator: self.cfg.enumerator,
-            plan: self.cfg.plan,
-            parallel: self.cfg.parallel_kernel,
-        };
+        let opts = self.cfg.driver_options();
         let stats = {
             let _span = gcsm_obs::span("matching", gcsm_obs::cat::ENGINE);
             match_incremental(&src, query, batch, &opts)

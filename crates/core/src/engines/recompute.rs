@@ -12,7 +12,7 @@ use crate::config::EngineConfig;
 use crate::result::{BatchResult, PhaseBreakdown};
 use gcsm_gpusim::Device;
 use gcsm_graph::{DynamicGraph, EdgeUpdate};
-use gcsm_matcher::{match_static, CsrSource, DriverOptions};
+use gcsm_matcher::{match_static, CsrSource};
 use gcsm_pattern::QueryGraph;
 
 /// The recompute-from-scratch engine.
@@ -49,12 +49,7 @@ impl Engine for RecomputeEngine {
     ) -> BatchResult {
         let overall = self.device.snapshot();
         let mut m = Measurer::begin(&self.device, &self.cfg);
-        let opts = DriverOptions {
-            algo: self.cfg.algo,
-            enumerator: self.cfg.enumerator,
-            plan: self.cfg.plan,
-            parallel: self.cfg.parallel_kernel,
-        };
+        let opts = self.cfg.driver_options();
         let _span = gcsm_obs::span("matching", gcsm_obs::cat::ENGINE);
         // Snapshot materialization is CPU streaming work over the graph.
         let before = graph.old_to_csr();

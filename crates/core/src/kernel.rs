@@ -3,20 +3,17 @@
 //!
 //! Every GPU engine (GCSM, ZP, UM, VSGM, Naive) runs this exact function —
 //! the STMatch-adapted kernel of Sec. V-C — against a different
-//! [`gcsm_matcher::NeighborSource`]. The seed tasks (plan × batch edge ×
-//! orientation) map to thread blocks; rayon's work stealing stands in for
-//! STMatch's inter-block stealing. Compute is charged to the device as
-//! `gpu_ops`.
+//! [`gcsm_matcher::NeighborSource`]. The seeds run on the matcher driver
+//! ([`match_delta_plans`]), the same enumerator and loop as the CPU
+//! baseline; each seed task (plan × batch edge × orientation) stands for a
+//! thread block, and rayon's work stealing stands in for STMatch's
+//! inter-block stealing. Compute is charged to the device as `gpu_ops`.
 
 use crate::config::EngineConfig;
 use gcsm_gpusim::Device;
 use gcsm_graph::EdgeUpdate;
-use gcsm_matcher::{
-    delta_seeds, match_from_seed, match_from_seed_stack, EnumeratorKind, MatchStats,
-    NeighborSource, Scratch, StackScratch,
-};
-use gcsm_pattern::{compile_incremental, QueryGraph};
-use rayon::prelude::*;
+use gcsm_matcher::{match_delta_plans, MatchStats, NeighborSource};
+use gcsm_pattern::{compile_incremental, MatchPlan, QueryGraph};
 
 /// Outcome of one kernel launch: aggregate stats plus the grid's
 /// load-imbalance factor (`makespan / ideal` over the configured blocks and
@@ -46,117 +43,20 @@ pub fn run_gpu_kernel<S: NeighborSource>(
 pub fn run_gpu_kernel_with_plans<S: NeighborSource>(
     device: &Device,
     src: &S,
-    plans: &[gcsm_pattern::MatchPlan],
+    plans: &[MatchPlan],
     batch: &[EdgeUpdate],
     cfg: &EngineConfig,
 ) -> KernelRun {
     device.traffic().add_kernel_launches(1);
-
-    // Per-task cost vector (intersect ops + list accesses as a proxy for
-    // the task's memory time) for the load-balance model.
-    let tasks = delta_seeds(plans, batch);
-    let run_task =
-        |rs: &mut Scratch, ss: &mut StackScratch, pi: usize, a, b, sign| match cfg.enumerator {
-            EnumeratorKind::Recursive => {
-                match_from_seed(src, &plans[pi], a, b, sign, cfg.algo, rs, &mut |_, _| {})
-            }
-            EnumeratorKind::Stack => {
-                match_from_seed_stack(src, &plans[pi], a, b, sign, cfg.algo, ss, &mut |_, _| {})
-            }
-        };
-    let run_slice = |slice: &[(usize, gcsm_graph::VertexId, gcsm_graph::VertexId, i64)]| -> Vec<(MatchStats, u64)> {
-        if cfg.parallel_kernel {
-            slice
-                .par_iter()
-                .map_init(
-                    || (Scratch::default(), StackScratch::default()),
-                    |(rs, ss), &(pi, a, b, sign)| {
-                        let s = run_task(rs, ss, pi, a, b, sign);
-                        let cost = s.intersect_ops + s.list_accesses;
-                        (s, cost)
-                    },
-                )
-                .collect()
-        } else {
-            let mut rs = Scratch::default();
-            let mut ss = StackScratch::default();
-            slice
-                .iter()
-                .map(|&(pi, a, b, sign)| {
-                    let s = run_task(&mut rs, &mut ss, pi, a, b, sign);
-                    let cost = s.intersect_ops + s.list_accesses;
-                    (s, cost)
-                })
-                .collect()
-        }
-    };
-    // `delta_seeds` is plan-major: plan `i`'s tasks are one contiguous
-    // chunk of `batch.len() * 2` seeds, so with tracing on each ΔM_i level
-    // runs under its own `dm_i` span. The chunks partition the same task
-    // list in the same order, so the per-task cost vector (and therefore
-    // the imbalance factor) is identical either way.
-    let stride = batch.len() * 2;
-    let per_task: Vec<(MatchStats, u64)> = if gcsm_obs::enabled() && stride > 0 {
-        let mut out = Vec::with_capacity(tasks.len());
-        for (level, chunk) in tasks.chunks(stride).enumerate() {
-            let mut span = gcsm_obs::span("dm_i", gcsm_obs::cat::MATCHER);
-            span.set_level(level as u32);
-            span.set_count(chunk.len() as u64);
-            out.extend(run_slice(chunk));
-        }
-        out
-    } else {
-        run_slice(&tasks)
-    };
+    let per_seed = match_delta_plans(src, plans, batch, &cfg.driver_options());
     let mut merge_span = gcsm_obs::span("merge", gcsm_obs::cat::MATCHER);
-    merge_span.set_count(per_task.len() as u64);
-    let costs: Vec<u64> = per_task.iter().map(|(_, c)| *c).collect();
+    merge_span.set_count(per_seed.len() as u64);
+    // Per-task cost (intersect ops + list accesses as a proxy for the
+    // task's memory time) for the load-balance model.
+    let costs: Vec<u64> = per_seed.iter().map(|s| s.intersect_ops + s.list_accesses).collect();
     let imbalance = gcsm_gpusim::imbalance_factor(&costs, cfg.gpu.num_blocks, cfg.scheduling);
-    let stats = per_task.into_iter().map(|(s, _)| s).sum::<MatchStats>();
+    let stats: MatchStats = per_seed.into_iter().sum();
     drop(merge_span);
-    device.gpu_ops(stats.intersect_ops);
-    KernelRun { stats, imbalance }
-}
-
-/// Static (from-scratch) matching on the simulated GPU: seed the static
-/// plan on every graph edge. The paper's focus is incremental matching
-/// (prior work already mapped Fig. 2a onto GPUs \[8\]\[9\]\[19\]); this
-/// entry point computes the initial result `M(G_0)` under the same traffic
-/// model, so a deployment can bootstrap counts before streaming.
-pub fn run_gpu_kernel_static<S: NeighborSource>(
-    device: &Device,
-    src: &S,
-    q: &QueryGraph,
-    edges: &[(gcsm_graph::VertexId, gcsm_graph::VertexId)],
-    cfg: &EngineConfig,
-) -> KernelRun {
-    let plan = gcsm_pattern::compile_static(q, cfg.plan);
-    device.traffic().add_kernel_launches(1);
-    let per_task: Vec<(MatchStats, u64)> = edges
-        .par_iter()
-        .map_init(
-            || (Scratch::default(), StackScratch::default()),
-            |(rs, ss), &(u, v)| {
-                let mut acc = MatchStats::default();
-                for (a, b) in [(u, v), (v, u)] {
-                    let s = match cfg.enumerator {
-                        EnumeratorKind::Recursive => {
-                            match_from_seed(src, &plan, a, b, 1, cfg.algo, rs, &mut |_, _| {})
-                        }
-                        EnumeratorKind::Stack => {
-                            match_from_seed_stack(src, &plan, a, b, 1, cfg.algo, ss, &mut |_, _| {})
-                        }
-                    };
-                    acc.merge(s);
-                }
-                let cost = acc.intersect_ops + acc.list_accesses;
-                (acc, cost)
-            },
-        )
-        .collect();
-    let costs: Vec<u64> = per_task.iter().map(|(_, c)| *c).collect();
-    let imbalance = gcsm_gpusim::imbalance_factor(&costs, cfg.gpu.num_blocks, cfg.scheduling);
-    let stats = per_task.into_iter().map(|(s, _)| s).sum::<MatchStats>();
     device.gpu_ops(stats.intersect_ops);
     KernelRun { stats, imbalance }
 }
@@ -185,28 +85,6 @@ mod tests {
         assert_eq!(t.gpu_ops, run.stats.intersect_ops);
         assert_eq!(t.kernel_launches, 1);
         assert!(t.zerocopy_bytes > 0);
-    }
-
-    #[test]
-    fn static_kernel_counts_whole_graph() {
-        // K4: 4 triangles × 6 embeddings = 24.
-        let g0 = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
-        let mut g = DynamicGraph::from_csr(&g0);
-        g.begin_batch();
-        g.seal_batch();
-        let device = Device::new(GpuConfig::default());
-        let src = ZeroCopySource { graph: &g, device: &device };
-        let edges: Vec<_> = g0.edges().collect();
-        let run = run_gpu_kernel_static(
-            &device,
-            &src,
-            &queries::triangle(),
-            &edges,
-            &EngineConfig::default(),
-        );
-        assert_eq!(run.stats.matches, 24);
-        assert!(run.imbalance >= 1.0);
-        assert!(device.snapshot().zerocopy_bytes > 0);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::config::EngineConfig;
 use crate::engines::Engine;
 use crate::lifecycle::BatchCore;
 use crate::result::BatchResult;
-use gcsm_gpusim::{imbalance_factor, makespan, Device, Scheduling, SimBreakdown};
+use gcsm_gpusim::{Device, SimBreakdown};
 use gcsm_graph::{CsrGraph, DynamicGraph, EdgeUpdate};
 use gcsm_pattern::QueryGraph;
 use gcsm_shard::{route, PartitionPolicy, Partitioning};
@@ -59,11 +59,9 @@ pub struct ShardedBatchResult {
     pub cut_updates: usize,
     /// Achieved parallel engine time: the slowest shard's engine phases.
     pub makespan_seconds: f64,
-    /// Modeled makespan of this batch's per-update costs re-assigned
-    /// across the shards under the configured [`Scheduling`] policy.
-    pub assignment_makespan_seconds: f64,
-    /// `assignment makespan / ideal` (≥ 1): how far the shard assignment
-    /// is from perfect balance.
+    /// Achieved imbalance, `makespan / mean` of the shards' engine seconds
+    /// (≥ 1; exactly 1 for one shard, a perfectly balanced batch, or a
+    /// batch with no engine work).
     pub imbalance: f64,
 }
 
@@ -153,7 +151,6 @@ impl ShardedPipeline {
     /// the routed, parallel match step.
     pub fn process_batch(&mut self, updates: &[EdgeUpdate]) -> ShardedBatchResult {
         let cpu_bw = self.shards[0].engine.config().gpu.cpu_mem_bandwidth;
-        let scheduling = self.shards[0].engine.config().scheduling;
         let (part, query, shards) = (&self.part, &self.query, &mut self.shards);
         let (mut out, host) = self.core.run_batch(updates, cpu_bw, |graph, applied, batch| {
             let wall = gcsm_obs::Stopwatch::start();
@@ -217,10 +214,7 @@ impl ShardedPipeline {
             }
             merged.cache_hit_rate = merged.traffic.cache_hit_rate();
 
-            // ---- Load-balance model: re-assign this batch's per-update
-            // costs across the shards under the configured scheduling ----
-            let (assignment_makespan_seconds, imbalance) =
-                assignment_makespan(part, applied, &per_shard, scheduling);
+            let imbalance = achieved_imbalance(&per_shard, makespan_seconds);
             merged.wall_seconds = wall.elapsed_seconds();
 
             ShardedBatchResult {
@@ -229,7 +223,6 @@ impl ShardedPipeline {
                 peer_bytes: routed.peer_bytes(),
                 cut_updates: routed.cut_updates,
                 makespan_seconds,
-                assignment_makespan_seconds,
                 imbalance,
             }
         });
@@ -244,31 +237,15 @@ fn engine_seconds(r: &BatchResult) -> f64 {
     r.phases.freq_est + r.phases.data_copy + r.phases.matching
 }
 
-/// Model the batch's per-update costs as schedulable tasks: each shard's
-/// engine seconds spread uniformly over its assigned updates, tasks listed
-/// in batch order, then scheduled onto `N` "blocks" (devices) under
-/// `policy`. Returns `(makespan_seconds, imbalance)`.
-fn assignment_makespan(
-    part: &Partitioning,
-    applied: &[EdgeUpdate],
-    per_shard: &[BatchResult],
-    policy: Scheduling,
-) -> (f64, f64) {
-    let blocks = per_shard.len();
-    let mut counts = vec![0usize; blocks];
-    for u in applied {
-        counts[part.counting_shard(u)] += 1;
+/// The slowest shard's engine seconds over the shards' mean; 1.0 when no
+/// shard did any engine work.
+fn achieved_imbalance(per_shard: &[BatchResult], makespan_seconds: f64) -> f64 {
+    let mean = per_shard.iter().map(engine_seconds).sum::<f64>() / per_shard.len() as f64;
+    if mean > 0.0 {
+        makespan_seconds / mean
+    } else {
+        1.0
     }
-    let per_update_ns: Vec<u64> = per_shard
-        .iter()
-        .zip(&counts)
-        .map(|(r, &c)| if c == 0 { 0 } else { (engine_seconds(r) * 1e9 / c as f64) as u64 })
-        .collect();
-    let task_costs: Vec<u64> =
-        applied.iter().map(|u| per_update_ns[part.counting_shard(u)]).collect();
-    let ms = makespan(&task_costs, blocks, policy) as f64 * 1e-9;
-    let imb = imbalance_factor(&task_costs, blocks, policy);
-    (ms, imb)
 }
 
 #[cfg(test)]
@@ -382,18 +359,32 @@ mod tests {
     #[test]
     fn makespan_and_imbalance_are_reported() {
         let (g0, batches) = setup();
-        let mut sharded =
-            ShardedPipeline::new(g0, queries::triangle(), PartitionPolicy::HashSrc, engines(2));
-        for b in &batches {
-            let r = sharded.process_batch(b);
-            assert!(r.makespan_seconds >= 0.0);
-            assert!(r.assignment_makespan_seconds >= 0.0);
-            assert!(r.imbalance >= 1.0);
-            // The merged engine phases are maxima over shards, so the
-            // achieved makespan is exactly their sum.
-            let merged_engine =
-                r.merged.phases.freq_est + r.merged.phases.data_copy + r.merged.phases.matching;
-            assert!(r.makespan_seconds <= merged_engine + 1e-12);
+        for n in [1usize, 2, 4] {
+            let mut sharded = ShardedPipeline::new(
+                g0.clone(),
+                queries::triangle(),
+                PartitionPolicy::HashSrc,
+                engines(n),
+            );
+            for b in &batches {
+                let r = sharded.process_batch(b);
+                assert!(r.makespan_seconds >= 0.0);
+                assert!(r.imbalance >= 1.0);
+                // The merged engine phases are maxima over shards, so the
+                // achieved makespan is exactly their sum.
+                let merged_engine =
+                    r.merged.phases.freq_est + r.merged.phases.data_copy + r.merged.phases.matching;
+                assert!(r.makespan_seconds <= merged_engine + 1e-12);
+                // The imbalance is the achieved makespan over the mean.
+                let mean = r.per_shard.iter().map(engine_seconds).sum::<f64>() / n as f64;
+                if n == 1 {
+                    assert_eq!(r.imbalance, 1.0);
+                }
+                if mean > 0.0 {
+                    let rel = (r.imbalance * mean - r.makespan_seconds).abs() / r.makespan_seconds;
+                    assert!(rel < 1e-12, "{n} shards: imbalance × mean != makespan ({rel})");
+                }
+            }
         }
     }
 

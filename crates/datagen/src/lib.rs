@@ -18,7 +18,6 @@
 //!   edges, mark insert/delete with equal probability, remove
 //!   insert-marked edges from the initial graph, and batch the stream.
 
-pub mod config_model;
 pub mod er;
 pub mod presets;
 pub mod rmat;

@@ -212,7 +212,7 @@ mod tests {
         );
         let mut truth_ranked: Vec<(u32, u64)> =
             truth.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| (i as u32, c)).collect();
-        truth_ranked.sort_by(|a, b| b.1.cmp(&a.1));
+        truth_ranked.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
         let est_top: Vec<u32> = est.ranked().iter().take(3).map(|r| r.0).collect();
         // The single hottest oracle vertex must be within the estimator's
         // top three.

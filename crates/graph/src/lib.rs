@@ -43,7 +43,6 @@
 //! ```
 
 pub mod admission;
-pub mod analytics;
 pub mod csr;
 pub mod dynamic;
 pub mod io;

@@ -6,10 +6,11 @@
 //!   for a batch `ΔE`: run all `m` delta plans, seeding each on every batch
 //!   edge in both orientations, summing `op.sign()` per found match
 //!   (Eq. (1); Fig. 2b–f).
+//! * [`match_delta_plans`] — the seed runner behind `match_incremental`:
+//!   caller-supplied delta plans, one stats entry per seed. The `gcsm`
+//!   core crate's simulated GPU kernel runs on it.
 //!
-//! Both drivers run serially or data-parallel over seeds (rayon); the
-//! engines in the `gcsm` core crate reuse the same per-seed primitives
-//! under the simulated GPU executor instead.
+//! All drivers run serially or data-parallel over seeds (rayon).
 
 use crate::enumerate::{match_from_seed, Scratch};
 use crate::intersect::IntersectAlgo;
@@ -103,12 +104,8 @@ pub fn match_static<S: NeighborSource>(
 }
 
 /// The (plan × batch-edge × orientation) seed tasks of one incremental
-/// matching run. Exposed so engines can distribute them across the
-/// simulated GPU grid themselves.
-pub fn delta_seeds(
-    plans: &[MatchPlan],
-    batch: &[EdgeUpdate],
-) -> Vec<(usize, VertexId, VertexId, i64)> {
+/// matching run, plan-major.
+fn delta_seeds(plans: &[MatchPlan], batch: &[EdgeUpdate]) -> Vec<(usize, VertexId, VertexId, i64)> {
     let mut tasks = Vec::with_capacity(plans.len() * batch.len() * 2);
     for (pi, _) in plans.iter().enumerate() {
         for u in batch {
@@ -130,53 +127,62 @@ pub fn match_incremental<S: NeighborSource>(
     opts: &DriverOptions,
 ) -> MatchStats {
     let plans = compile_incremental(q, opts.plan);
-    let tasks = delta_seeds(&plans, batch);
-    // `delta_seeds` is plan-major: the tasks of plan `i` form one
-    // contiguous chunk of `batch.len() * 2` seeds, so with tracing on each
-    // ΔM_i level runs under its own `dm_i` span. Totals are unchanged —
-    // the chunks partition the same task list.
+    match_delta_plans(src, &plans, batch, opts).into_iter().sum()
+}
+
+/// Run the delta `plans` on every batch edge in both orientations and
+/// return one [`MatchStats`] per seed, plan-major: plan `i`'s seeds are
+/// entries `i·2|ΔE| .. (i+1)·2|ΔE|`, each batch edge as `(src, dst)` then
+/// `(dst, src)`. The simulated GPU kernel uses the per-seed entries as its
+/// task cost vector; [`match_incremental`] sums them.
+pub fn match_delta_plans<S: NeighborSource>(
+    src: &S,
+    plans: &[MatchPlan],
+    batch: &[EdgeUpdate],
+    opts: &DriverOptions,
+) -> Vec<MatchStats> {
+    let tasks = delta_seeds(plans, batch);
+    // The tasks of plan `i` form one contiguous chunk of `batch.len() * 2`
+    // seeds, so with tracing on each ΔM_i level runs under its own `dm_i`
+    // span. The chunks partition the same task list in the same order, so
+    // the result is identical either way.
     let stride = batch.len() * 2;
     if gcsm_obs::enabled() && stride > 0 {
-        let mut acc = MatchStats::default();
+        let mut out = Vec::with_capacity(tasks.len());
         for (level, chunk) in tasks.chunks(stride).enumerate() {
             let mut span = gcsm_obs::span("dm_i", gcsm_obs::cat::MATCHER);
             span.set_level(level as u32);
             span.set_count(chunk.len() as u64);
-            acc.merge(run_tasks(src, &plans, chunk, opts));
+            out.extend(run_tasks(src, plans, chunk, opts));
         }
-        acc
+        out
     } else {
-        run_tasks(src, &plans, &tasks, opts)
+        run_tasks(src, plans, &tasks, opts)
     }
 }
 
 /// Run a slice of `(plan, seed, seed, sign)` tasks, serially or in
-/// parallel, and sum the stats.
+/// parallel, and return each task's stats in task order.
 fn run_tasks<S: NeighborSource>(
     src: &S,
     plans: &[MatchPlan],
     tasks: &[(usize, VertexId, VertexId, i64)],
     opts: &DriverOptions,
-) -> MatchStats {
+) -> Vec<MatchStats> {
     if opts.parallel {
         tasks
             .par_iter()
-            .fold(
-                || (MatchStats::default(), (Scratch::default(), StackScratch::default())),
-                |(mut acc, mut scratch), &(pi, a, b, sign)| {
-                    acc.merge(run_seed(src, &plans[pi], a, b, sign, opts, &mut scratch));
-                    (acc, scratch)
-                },
+            .map_init(
+                || (Scratch::default(), StackScratch::default()),
+                |scratch, &(pi, a, b, sign)| run_seed(src, &plans[pi], a, b, sign, opts, scratch),
             )
-            .map(|(acc, _)| acc)
-            .reduce(MatchStats::default, |a, b| a + b)
+            .collect()
     } else {
         let mut scratch = (Scratch::default(), StackScratch::default());
-        let mut acc = MatchStats::default();
-        for &(pi, a, b, sign) in tasks {
-            acc.merge(run_seed(src, &plans[pi], a, b, sign, opts, &mut scratch));
-        }
-        acc
+        tasks
+            .iter()
+            .map(|&(pi, a, b, sign)| run_seed(src, &plans[pi], a, b, sign, opts, &mut scratch))
+            .collect()
     }
 }
 
@@ -386,5 +392,29 @@ mod tests {
         let batch = vec![EdgeUpdate::insert(0, 1), EdgeUpdate::delete(2, 3)];
         let tasks = delta_seeds(&plans, &batch);
         assert_eq!(tasks.len(), 3 * 2 * 2); // m plans × edges × orientations
+    }
+
+    #[test]
+    fn delta_plans_yield_one_entry_per_seed() {
+        let g0 = random_graph(18, 0.3, 7);
+        let mut dg = DynamicGraph::from_csr(&g0);
+        let batch = random_batch(&g0, 7, 77);
+        let summary = dg.apply_batch(&batch);
+        let src = DynSource::new(&dg);
+        for q in [queries::triangle(), queries::q1(), queries::q2()] {
+            let plans = compile_incremental(&q, PlanOptions::default());
+            let run = |enumerator, parallel| {
+                let opts = DriverOptions { enumerator, parallel, ..Default::default() };
+                match_delta_plans(&src, &plans, &summary.applied, &opts)
+            };
+            let reference = run(EnumeratorKind::Stack, false);
+            assert_eq!(reference.len(), plans.len() * summary.applied.len() * 2);
+            assert_eq!(run(EnumeratorKind::Stack, true), reference, "{}", q.name());
+            assert_eq!(run(EnumeratorKind::Recursive, false), reference, "{}", q.name());
+            assert_eq!(run(EnumeratorKind::Recursive, true), reference, "{}", q.name());
+            let total: MatchStats = reference.into_iter().sum();
+            let whole = match_incremental(&src, &q, &summary.applied, &DriverOptions::default());
+            assert_eq!(total, whole, "{}", q.name());
+        }
     }
 }

@@ -17,7 +17,9 @@
 //!   Produces bit-identical results to the recursive one.
 //! * [`driver`] — whole-task entry points: static matching over all graph
 //!   edges and incremental matching over a batch `ΔE` (running all `m`
-//!   delta plans and summing signed counts, Eq. (1)).
+//!   delta plans and summing signed counts, Eq. (1)). It is the only code
+//!   that runs seeds; the simulated GPU kernel calls its
+//!   [`match_delta_plans`].
 //! * [`access`] — per-vertex access-frequency instrumentation: the *oracle*
 //!   the paper's Fig. 15 compares the random-walk estimator against.
 
@@ -40,19 +42,17 @@ pub mod access;
 pub mod driver;
 pub mod enumerate;
 pub mod intersect;
-pub mod limit;
 pub mod source;
 pub mod stack;
 pub mod stats;
 
 pub use access::AccessCounter;
 pub use driver::{
-    collect_incremental, delta_seeds, match_incremental, match_static, DriverOptions,
+    collect_incremental, match_delta_plans, match_incremental, match_static, DriverOptions,
     EnumeratorKind,
 };
 pub use enumerate::{gen_candidates, match_from_seed, seed_admissible, Scratch};
 pub use intersect::{CostCounter, IntersectAlgo};
-pub use limit::{match_incremental_limited, LimitedResult};
 pub use source::{CsrSource, DynSource, NeighborSource, RecordingSource};
 pub use stack::{match_from_seed_stack, StackScratch};
 pub use stats::MatchStats;

@@ -57,9 +57,9 @@ fn workload_cache_is_deterministic() {
 
 #[test]
 fn adaptive_constants_are_sane() {
-    assert!(EngineConfig::ADAPTIVE_ALPHA > 0.0);
+    const { assert!(EngineConfig::ADAPTIVE_ALPHA > 0.0) };
     assert!((0.0..1.0).contains(&EngineConfig::ADAPTIVE_CONFIDENCE));
-    assert!(EngineConfig::ADAPTIVE_MAX_ROUNDS >= 1);
+    const { assert!(EngineConfig::ADAPTIVE_MAX_ROUNDS >= 1) };
 }
 
 #[test]

@@ -53,8 +53,8 @@ fn empirical_variance_within_theorem1_bound() {
             d,
             &WalkParams { walks: 1, seed: 5000 + r as u64 },
         );
-        for v in 0..g.num_vertices() {
-            samples[v].push(est.freq[v]);
+        for (sample, &f) in samples.iter_mut().zip(&est.freq) {
+            sample.push(f);
         }
     }
 

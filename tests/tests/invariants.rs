@@ -106,11 +106,9 @@ fn streamed_deltas_track_ground_truth() {
     for mut engine in all_engines(&cfg) {
         let mut pipeline = Pipeline::new(g0.clone(), q.clone());
         let mut cumulative = 0i64;
-        let mut rng_seed = 1000u64;
-        for _ in 0..n_batches {
+        for rng_seed in 1000u64..1000 + n_batches {
             let snapshot = pipeline.graph().to_csr();
             let batch = random_batch(&snapshot, 8, rng_seed);
-            rng_seed += 1;
             let r = pipeline.process_batch(engine.as_mut(), &batch);
             cumulative += r.matches;
         }
