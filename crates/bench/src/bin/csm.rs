@@ -234,7 +234,7 @@ fn main() {
             eprintln!("csm: --graph {graph_path}: {e}");
             std::process::exit(2);
         });
-        let u = io::load_updates(updates_path).unwrap_or_else(|e| {
+        let u = io::load_updates(updates_path, g.num_vertices()).unwrap_or_else(|e| {
             eprintln!("csm: --updates {updates_path}: {e}");
             std::process::exit(2);
         });

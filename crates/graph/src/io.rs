@@ -92,9 +92,16 @@ pub fn read_labels<R: Read>(reader: R, n: usize) -> Result<Vec<Label>, String> {
 
 /// Parse an update stream: one update per line, `+ src dst` for insertion
 /// or `- src dst` for deletion (`#` comments and blanks skipped).
-pub fn read_updates<R: Read>(reader: R) -> Result<Vec<EdgeUpdate>, String> {
+///
+/// `num_vertices` is the vertex count of the graph the stream applies to.
+/// Each update adds at most two vertices, so a stream of `k` updates never
+/// needs an id at or above `num_vertices + 2k`; a larger id is rejected
+/// (naming its line) rather than growing the graph to that id.
+pub fn read_updates<R: Read>(reader: R, num_vertices: usize) -> Result<Vec<EdgeUpdate>, String> {
     let br = BufReader::new(reader);
     let mut out = Vec::new();
+    // Largest id seen and the first line it appears on.
+    let mut widest: Option<(VertexId, usize)> = None;
     for (i, line) in br.lines().enumerate() {
         let line = line.map_err(|e| format!("line {}: {e}", i + 1))?;
         let t = line.trim();
@@ -118,15 +125,31 @@ pub fn read_updates<R: Read>(reader: R) -> Result<Vec<EdgeUpdate>, String> {
             "-" => EdgeUpdate::delete(a, b),
             other => return Err(format!("line {}: bad op '{other}' (want + or -)", i + 1)),
         });
+        let top = a.max(b);
+        if !matches!(widest, Some((w, _)) if w >= top) {
+            widest = Some((top, i + 1));
+        }
     }
-    Ok(out)
+    let bound = num_vertices as u64 + 2 * out.len() as u64;
+    match widest {
+        Some((id, line)) if u64::from(id) >= bound => Err(format!(
+            "line {line}: vertex id {id} out of range ({} updates over {num_vertices} vertices \
+             need ids below {bound})",
+            out.len()
+        )),
+        _ => Ok(out),
+    }
 }
 
-/// Load an update-stream file.
-pub fn load_updates<P: AsRef<Path>>(path: P) -> Result<Vec<EdgeUpdate>, String> {
+/// Load an update-stream file for a graph of `num_vertices` vertices (see
+/// [`read_updates`]).
+pub fn load_updates<P: AsRef<Path>>(
+    path: P,
+    num_vertices: usize,
+) -> Result<Vec<EdgeUpdate>, String> {
     let f = std::fs::File::open(path.as_ref())
         .map_err(|e| format!("{}: {e}", path.as_ref().display()))?;
-    read_updates(f)
+    read_updates(f, num_vertices)
 }
 
 /// Write an update stream in the `+/- src dst` format.
@@ -180,7 +203,7 @@ mod tests {
     #[test]
     fn missing_file_errors() {
         assert!(load_edge_list("/nonexistent/path.el").is_err());
-        assert!(load_updates("/nonexistent/path.upd").is_err());
+        assert!(load_updates("/nonexistent/path.upd", 0).is_err());
     }
 
     #[test]
@@ -188,15 +211,27 @@ mod tests {
         let ups = vec![EdgeUpdate::insert(1, 2), EdgeUpdate::delete(3, 4)];
         let mut buf = Vec::new();
         write_updates(&ups, &mut buf).unwrap();
-        let back = read_updates(&buf[..]).unwrap();
+        let back = read_updates(&buf[..], 5).unwrap();
         assert_eq!(back, ups);
     }
 
     #[test]
     fn updates_reject_bad_ops() {
-        assert!(read_updates("* 1 2\n".as_bytes()).is_err());
-        assert!(read_updates("+ 1\n".as_bytes()).is_err());
-        let ok = read_updates("# c\n\n+ 1 2\n- 2 3\n".as_bytes()).unwrap();
+        assert!(read_updates("* 1 2\n".as_bytes(), 4).is_err());
+        assert!(read_updates("+ 1\n".as_bytes(), 4).is_err());
+        let ok = read_updates("# c\n\n+ 1 2\n- 2 3\n".as_bytes(), 4).unwrap();
         assert_eq!(ok.len(), 2);
+    }
+
+    #[test]
+    fn updates_reject_ids_beyond_a_dense_stream() {
+        // Two updates over 3 vertices may introduce ids 3..=6, no higher.
+        let ok = read_updates("+ 0 5\n+ 6 1\n".as_bytes(), 3).unwrap();
+        assert_eq!(ok.len(), 2);
+        let err = read_updates("# huge\n+ 0 1\n+ 0 7\n".as_bytes(), 3).unwrap_err();
+        assert!(err.starts_with("line 3:") && err.contains("vertex id 7"), "{err}");
+        // The u32 maximum never reaches the graph, whatever line it is on.
+        let err = read_updates("+ 0 4294967295\n- 1 2\n".as_bytes(), 3).unwrap_err();
+        assert!(err.starts_with("line 1:") && err.contains("4294967295"), "{err}");
     }
 }

@@ -10,8 +10,8 @@
 use crate::intersect::{filter_in_place, materialize, CostCounter, IntersectAlgo};
 use crate::source::NeighborSource;
 use crate::stats::MatchStats;
-use gcsm_graph::VertexId;
-use gcsm_pattern::MatchPlan;
+use gcsm_graph::{NeighborView, VertexId};
+use gcsm_pattern::{MatchPlan, MAX_PATTERN};
 
 /// Reusable per-thread buffers (candidate stacks and the binding vector).
 #[derive(Default)]
@@ -158,9 +158,21 @@ pub fn gen_candidates<S: NeighborSource>(
     };
 
     // Access every constraint's view once per tree node (the paper's
-    // execution-tree access model), pick the smallest as the base set.
-    // lint:allow(hot-path-panic) -- c.pos < level == bound.len() by plan construction
-    let views: Vec<_> = lvl.constraints.iter().map(|c| src.view(bound[c.pos], c.view)).collect();
+    // execution-tree access model), pick the smallest as the base set. The
+    // views live in a stack array: a level has fewer constraints than the
+    // pattern has vertices, so `MAX_PATTERN` slots always suffice.
+    let mut slots = [NeighborView::plain(&[]); MAX_PATTERN];
+    let mut n = 0;
+    for (slot, c) in slots.iter_mut().zip(&lvl.constraints) {
+        let Some(&v) = bound.get(c.pos) else {
+            debug_assert!(false, "constraint position beyond the bound prefix");
+            continue;
+        };
+        *slot = src.view(v, c.view);
+        n += 1;
+    }
+    debug_assert!(lvl.constraints.len() <= MAX_PATTERN, "level wider than MAX_PATTERN");
+    let views = slots.get(..n).unwrap_or_default();
     stats.list_accesses += views.len() as u64;
 
     let Some((base, base_view)) = views.iter().enumerate().min_by_key(|(_, v)| v.raw_len()) else {
@@ -177,7 +189,6 @@ pub fn gen_candidates<S: NeighborSource>(
             }
         }
     }
-    drop(views);
 
     // Injectivity + label + symmetry-breaking filters.
     out.retain(|&cand| {

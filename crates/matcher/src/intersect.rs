@@ -5,19 +5,22 @@
 //! [`gcsm_graph::NeighborView`]). Three kernels are provided:
 //!
 //! * **merge** — classic two-finger merge, `O(|a| + |b|)`;
-//! * **gallop** — per-candidate exponential+binary search, `O(|a| log |b|)`,
-//!   the right choice when the candidate buffer is much smaller than the
-//!   list;
+//! * **gallop** — per-candidate binary search over the list suffix not yet
+//!   passed, `O(|a| log |b|)`, the right choice when the candidate buffer
+//!   is much smaller than the list;
 //! * **blocked** — merge with a 4-way unrolled comparison block, mirroring
 //!   STMatch's "unrolled set intersection with SIMD parallelism" (Sec. V-C).
 //!
-//! [`IntersectAlgo::Auto`] picks gallop when `32·|a| < |b|` (the standard
-//! crossover) and blocked merge otherwise. All kernels return the same
-//! result and charge the same *model* cost metric through [`CostCounter`],
-//! so engine comparisons never depend on kernel choice — the kernels exist
-//! for the wall-clock ablation bench.
+//! Every kernel filters the candidate buffer in place and allocates
+//! nothing. [`IntersectAlgo::Auto`] picks merge when `|b| < 32·|a|` and
+//! gallop otherwise: the crossover measured by the size-ratio sweep in
+//! `crates/bench/benches/ablations.rs` (table in EXPERIMENTS.md), where
+//! blocked is never more than ~9 % ahead of the better of the other two.
+//! All kernels return the same result and charge the same *model* cost
+//! metric through [`CostCounter`], so engine comparisons never depend on
+//! kernel choice — the choice only moves wall time.
 
-use gcsm_graph::{decode_neighbor, is_tombstone, NeighborRun, NeighborView, VertexId};
+use gcsm_graph::{decode_neighbor, is_tombstone, NeighborView, VertexId};
 
 /// Intersection kernel selector.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -25,7 +28,7 @@ pub enum IntersectAlgo {
     Merge,
     Gallop,
     Blocked,
-    /// Size-ratio dispatch between `Gallop` and `Blocked`.
+    /// Size-ratio dispatch between `Merge` and `Gallop`.
     #[default]
     Auto,
 }
@@ -53,13 +56,23 @@ fn log2_ceil(n: usize) -> u64 {
 pub fn materialize(view: &NeighborView<'_>, out: &mut Vec<VertexId>, cost: &mut CostCounter) {
     out.clear();
     cost.charge(view.raw_len() as u64);
-    out.extend(view.iter_sorted());
+    match (view.tail, view.prefix.skip_tombstones) {
+        (None, false) => out.extend(view.prefix.data.iter().map(|&raw| decode_neighbor(raw))),
+        (None, true) => out.extend(view.prefix.iter()),
+        (Some(_), _) => out.extend(view.iter_sorted()),
+    }
 }
 
 /// Filter the sorted candidate buffer `cands` in place, keeping the
 /// elements present in `view`. The model cost is the cheaper of the merge
 /// and gallop costs (deterministic: depends only on sizes), regardless of
 /// the kernel actually run.
+///
+/// Every kernel compacts `cands` in place (`Vec::retain`: read cursor `i`,
+/// write cursor `w`, then `truncate(w)`), so the buffer keeps its
+/// allocation and never grows. The view's prefix and tail runs hold
+/// disjoint ids and are walked by separate forward-only cursors, so no
+/// union of per-run hits is ever built.
 pub fn filter_in_place(
     cands: &mut Vec<VertexId>,
     view: &NeighborView<'_>,
@@ -71,145 +84,91 @@ pub fn filter_in_place(
     cost.charge(merge_cost.min(gallop_cost));
 
     let algo = match algo {
-        IntersectAlgo::Auto => {
-            if cands.len() * 32 < view.raw_len() {
-                IntersectAlgo::Gallop
-            } else {
-                IntersectAlgo::Blocked
-            }
-        }
+        IntersectAlgo::Auto => auto_kernel(cands.len(), view.raw_len()),
         a => a,
     };
     match algo {
-        IntersectAlgo::Gallop => {
-            let tail = view.tail_run();
-            cands.retain(|&c| view.prefix.contains(c) || tail.is_some_and(|t| t.contains(c)));
+        IntersectAlgo::Merge => retain_members(cands, view, RunCursor::seek_linear),
+        IntersectAlgo::Blocked => retain_members(cands, view, RunCursor::seek_blocked),
+        IntersectAlgo::Gallop | IntersectAlgo::Auto => {
+            retain_members(cands, view, RunCursor::seek_binary)
         }
-        IntersectAlgo::Merge => {
-            let kept = merge_filter(cands, &view.prefix, view.tail_run().as_ref());
-            *cands = kept;
-        }
-        IntersectAlgo::Blocked => {
-            let kept = blocked_filter(cands, &view.prefix, view.tail_run().as_ref());
-            *cands = kept;
-        }
-        IntersectAlgo::Auto => unreachable!(),
     }
 }
 
-/// Two-finger merge of `cands` against the (up to two) runs of a view.
-/// Runs hold disjoint id sets, so a candidate is kept if it matches either.
-fn merge_filter(
-    cands: &[VertexId],
-    prefix: &NeighborRun<'_>,
-    tail: Option<&NeighborRun<'_>>,
-) -> Vec<VertexId> {
-    let mut hits = merge_run(cands, prefix);
-    if let Some(t) = tail {
-        let tail_hits = merge_run(cands, t);
-        hits = merge_union(&hits, &tail_hits);
+/// `IntersectAlgo::Auto`'s rule, read off the size-ratio sweep in
+/// EXPERIMENTS.md: the merge beats binary search up to `|b| ≈ 16·|a|` and
+/// loses from `|b| ≈ 64·|a|`, so the crossover sits at `32·|a|`.
+#[inline]
+fn auto_kernel(cands: usize, list: usize) -> IntersectAlgo {
+    if list < 32 * cands {
+        IntersectAlgo::Merge
+    } else {
+        IntersectAlgo::Gallop
     }
-    hits
 }
 
-fn merge_run(cands: &[VertexId], run: &NeighborRun<'_>) -> Vec<VertexId> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    let data = run.data;
-    while let (Some(&c), Some(&raw)) = (cands.get(i), data.get(j)) {
-        if run.skip_tombstones && is_tombstone(raw) {
-            j += 1;
-            continue;
-        }
-        let d = decode_neighbor(raw);
-        match c.cmp(&d) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(c);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
+/// Keep the candidates that `seek` finds live in either run of `view`.
+/// `seek` advances a run cursor to the first entry `>= c` and reports a
+/// live hit; because `cands` is sorted, both cursors only move forward.
+#[inline(always)]
+fn retain_members<'a>(
+    cands: &mut Vec<VertexId>,
+    view: &NeighborView<'a>,
+    seek: impl Fn(&mut RunCursor<'a>, VertexId) -> bool,
+) {
+    let mut prefix = RunCursor::new(view.prefix.data, view.prefix.skip_tombstones);
+    let mut tail = RunCursor::new(view.tail.unwrap_or_default(), false);
+    cands.retain(|&c| seek(&mut prefix, c) || seek(&mut tail, c));
 }
 
-/// Union of two sorted disjoint hit lists.
-fn merge_union(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) => {
-                if x < y {
-                    out.push(x);
-                    i += 1;
-                } else {
-                    out.push(y);
-                    j += 1;
-                }
-            }
-            (Some(&x), None) => {
-                out.push(x);
-                i += 1;
-            }
-            (None, Some(&y)) => {
-                out.push(y);
-                j += 1;
-            }
-            (None, None) => unreachable!(),
-        }
-    }
-    out
+/// A forward-only position in one sorted run.
+struct RunCursor<'a> {
+    data: &'a [u32],
+    skip_tombstones: bool,
+    pos: usize,
 }
 
-/// Merge with a 4-wide unrolled skip block: when the current candidate is
-/// far ahead of the run cursor, compare against 4 entries at once and skip
-/// whole blocks. This is the scalar analog of STMatch's warp-parallel
-/// unrolled intersection.
-fn blocked_filter(
-    cands: &[VertexId],
-    prefix: &NeighborRun<'_>,
-    tail: Option<&NeighborRun<'_>>,
-) -> Vec<VertexId> {
-    let mut hits = blocked_run(cands, prefix);
-    if let Some(t) = tail {
-        let tail_hits = blocked_run(cands, t);
-        hits = merge_union(&hits, &tail_hits);
+impl<'a> RunCursor<'a> {
+    fn new(data: &'a [u32], skip_tombstones: bool) -> Self {
+        Self { data, skip_tombstones, pos: 0 }
     }
-    hits
-}
 
-fn blocked_run(cands: &[VertexId], run: &NeighborRun<'_>) -> Vec<VertexId> {
-    let data = run.data;
-    let mut out = Vec::new();
-    let mut j = 0usize;
-    for &c in cands {
-        // Skip 4-entry blocks whose last element is still below c.
-        while let Some(&block_last) = data.get(j + 3) {
-            if decode_neighbor(block_last) < c {
-                j += 4;
-            } else {
-                break;
-            }
-        }
-        while let Some(&raw) = data.get(j) {
-            let d = decode_neighbor(raw);
-            if d < c {
-                j += 1;
-            } else {
-                if d == c && !(run.skip_tombstones && is_tombstone(raw)) {
-                    out.push(c);
-                }
-                break;
-            }
-        }
-        if j == data.len() {
-            break;
-        }
+    /// Whether the entry under the cursor is `c` and live in this run.
+    #[inline(always)]
+    fn hit(&self, c: VertexId) -> bool {
+        self.data.get(self.pos).is_some_and(|&raw| {
+            decode_neighbor(raw) == c && !(self.skip_tombstones && is_tombstone(raw))
+        })
     }
-    out
+
+    /// Two-finger merge step: advance one entry at a time.
+    #[inline(always)]
+    fn seek_linear(&mut self, c: VertexId) -> bool {
+        while self.data.get(self.pos).is_some_and(|&raw| decode_neighbor(raw) < c) {
+            self.pos += 1;
+        }
+        self.hit(c)
+    }
+
+    /// Merge with a 4-wide unrolled skip block: while the last entry of the
+    /// next 4-entry block is still below `c`, skip the whole block — the
+    /// scalar analog of STMatch's warp-parallel unrolled intersection.
+    #[inline(always)]
+    fn seek_blocked(&mut self, c: VertexId) -> bool {
+        while self.data.get(self.pos + 3).is_some_and(|&raw| decode_neighbor(raw) < c) {
+            self.pos += 4;
+        }
+        self.seek_linear(c)
+    }
+
+    /// Binary search over the not-yet-passed suffix of the run.
+    #[inline(always)]
+    fn seek_binary(&mut self, c: VertexId) -> bool {
+        let rest = self.data.get(self.pos..).unwrap_or_default();
+        self.pos += rest.partition_point(|&raw| decode_neighbor(raw) < c);
+        self.hit(c)
+    }
 }
 
 #[cfg(test)]
@@ -302,30 +261,91 @@ mod tests {
         assert_eq!(cost.ops, 12);
     }
 
+    /// Sorted distinct ids drawn from `0..universe`.
+    fn sorted_ids(rng: &mut impl rand::Rng, len: usize, universe: u32) -> Vec<u32> {
+        let mut v: Vec<u32> = (0..len).map(|_| rng.gen_range(0..universe)).collect();
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
     #[test]
     fn randomized_kernel_agreement() {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(42);
-        for _ in 0..200 {
-            let n = rng.gen_range(0..60);
-            let m = rng.gen_range(0..60);
-            let mut data: Vec<u32> = (0..n).map(|_| rng.gen_range(0..100)).collect();
-            data.sort_unstable();
-            data.dedup();
-            let mut cands: Vec<u32> = (0..m).map(|_| rng.gen_range(0..100)).collect();
-            cands.sort_unstable();
-            cands.dedup();
-            // Split data into prefix + tail with tombstones in the prefix.
-            let split = data.len() / 2;
-            let prefix: Vec<u32> = data[..split]
-                .iter()
-                .map(|&v| if rng.gen_bool(0.3) { encode_tombstone(v) } else { v })
-                .collect();
-            let tail: Vec<u32> = data[split..].to_vec();
-            let view = NeighborView::new_view(&prefix, &tail);
-            let expect: Vec<u32> = cands.iter().copied().filter(|&c| view.contains(c)).collect();
-            for r in run_all_algos(&cands, &view) {
-                assert_eq!(r, expect);
+        // |b|/|a| from 1:1 to 1:1000 with lists of up to 2000 entries, so the
+        // 4-entry block skip, both run cursors and binary search over the
+        // unread suffix all see long runs.
+        for ratio in [1usize, 3, 10, 30, 100, 300, 1000] {
+            for _ in 0..60 {
+                let a_len = rng.gen_range(0..=(2000 / ratio).clamp(1, 64));
+                let b_len = if rng.gen_bool(0.05) { 0 } else { (a_len * ratio).min(2000) };
+                let universe = 2 * (a_len + b_len) as u32 + 1;
+                let data = sorted_ids(&mut rng, b_len, universe);
+                // Half the candidates come from the list so hits are common.
+                let mut cands = sorted_ids(&mut rng, a_len, universe);
+                if !data.is_empty() {
+                    for c in cands.iter_mut().step_by(2) {
+                        *c = data[rng.gen_range(0..data.len())];
+                    }
+                    cands.sort_unstable();
+                    cands.dedup();
+                }
+                // Split the list into a prefix (some entries tombstoned) and
+                // an appended tail; the tail may be empty.
+                let tail_share = [0.0, 0.1, 0.5, 1.0][rng.gen_range(0..4usize)];
+                let (mut prefix, mut tail) = (Vec::new(), Vec::new());
+                for &v in &data {
+                    if rng.gen_bool(tail_share) {
+                        tail.push(v);
+                    } else if rng.gen_bool(0.3) {
+                        prefix.push(encode_tombstone(v));
+                    } else {
+                        prefix.push(v);
+                    }
+                }
+                for view in [NeighborView::new_view(&prefix, &tail), NeighborView::old(&prefix)] {
+                    let expect: Vec<u32> =
+                        cands.iter().copied().filter(|&c| view.contains(c)).collect();
+                    for r in run_all_algos(&cands, &view) {
+                        assert_eq!(r, expect, "ratio 1:{ratio}");
+                    }
+                    // Candidates longer than the list, the reverse regime.
+                    let expect: Vec<u32> =
+                        data.iter().copied().filter(|&c| view.contains(c)).collect();
+                    for r in run_all_algos(&data, &view) {
+                        assert_eq!(r, expect, "ratio 1:{ratio}, list as candidates");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn filtering_keeps_the_buffer_allocation() {
+        let prefix: Vec<u32> =
+            (0..3000).map(|v| if v % 7 == 0 { encode_tombstone(v) } else { v }).collect();
+        let tail: Vec<u32> = (3000..3100).step_by(3).collect();
+        let views = [
+            NeighborView::new_view(&prefix, &tail),
+            NeighborView::old(&prefix),
+            NeighborView::plain(&tail),
+        ];
+        for algo in [
+            IntersectAlgo::Merge,
+            IntersectAlgo::Gallop,
+            IntersectAlgo::Blocked,
+            IntersectAlgo::Auto,
+        ] {
+            for view in &views {
+                for cands_len in [1usize, 16, 200, 3200] {
+                    let mut cands = Vec::with_capacity(cands_len);
+                    cands.extend((0..cands_len as u32).map(|i| i * 3100 / cands_len as u32));
+                    let (ptr, cap) = (cands.as_ptr(), cands.capacity());
+                    filter_in_place(&mut cands, view, algo, &mut CostCounter::default());
+                    assert_eq!(cands.as_ptr(), ptr, "{algo:?} moved the buffer");
+                    assert_eq!(cands.capacity(), cap, "{algo:?} resized the buffer");
+                }
             }
         }
     }

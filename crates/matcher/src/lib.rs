@@ -8,9 +8,10 @@
 //!   the `gcsm` core crate adds sources that route accesses through the
 //!   simulated GPU (device cache / zero-copy / unified memory) so that the
 //!   same enumeration code serves every engine of the evaluation.
-//! * [`intersect`] — sorted-set intersection kernels (merge, galloping, and
-//!   a blocked/unrolled variant mirroring STMatch's SIMD intersection),
-//!   with uniform operation counting for the simulated-time model.
+//! * [`intersect`] — in-place sorted-set intersection kernels (merge,
+//!   per-candidate binary search, and a blocked/unrolled variant mirroring
+//!   STMatch's SIMD intersection), with uniform operation counting for the
+//!   simulated-time model.
 //! * [`enumerate`] — the recursive enumerator.
 //! * [`stack`] — the STMatch-style iterative enumerator with an explicit
 //!   per-level candidate stack (the shape of the paper's GPU kernel).

@@ -47,5 +47,5 @@ pub use plan::{
     compile_incremental, compile_incremental_one, compile_incremental_scored, compile_static,
     Constraint, LevelPlan, MatchPlan, PlanOptions, ViewSel,
 };
-pub use query::QueryGraph;
+pub use query::{QueryGraph, MAX_PATTERN};
 pub use validate::validate_plan;
